@@ -6,8 +6,10 @@ import time
 
 from ..circuit import Circuit, Histogram
 from ..qasm import emit_qasm
-from ..runtime import JobFailedError, JobResult
+from ..runtime import JobResult, JobStatus
 from . import protocol
+
+_FINISHED = (JobStatus.DONE.value, JobStatus.FAILED.value)
 
 
 class ServerError(Exception):
@@ -83,17 +85,11 @@ def client_submit(endpoint: tuple[str, int], circuit: Circuit,
     start = time.monotonic()
     with ResmanClient(endpoint, timeout=timeout) as client:
         job_id = client.submit(qasm, shots, seed)
-        while True:
-            state = client.job_status(job_id)
-            if state == "Done":
-                break
-            if state == "Failed":
-                # fetch surfaces the failure reason
-                client.fetch(job_id)
-                raise JobFailedError(f"job {job_id} failed on the server")
+        while (state := client.job_status(job_id)) not in _FINISHED:
             if time.monotonic() - start > timeout:
                 raise TimeoutError(f"job {job_id} still {state} after {timeout}s")
             time.sleep(poll_interval)
+        # A failed job's fetch raises ServerError("JOB_FAILED", reason).
         histogram, _server_wall = client.fetch(job_id)
     finished = time.monotonic()
     return JobResult(histogram=histogram, wall_time=finished - start,

@@ -1,36 +1,42 @@
 """Quantum resource-manager service.
 
-Accepts framed JSON requests, parses submitted QASM, queues jobs FIFO onto a
-single backend worker (one simulated device), and retains results until
-fetched. A configurable one-way delay is slept before each request is
-processed, modelling the link latency of a remote (off-premise) device.
+Accepts framed JSON requests, parses submitted QASM and queues jobs FIFO onto
+one runtime device worker (one simulated device), whose handles hold the
+results until fetched. A configurable one-way delay is slept before each
+request is processed, modelling the link latency of a remote (off-premise)
+device.
 """
 from __future__ import annotations
 
 import itertools
-import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
 
 from .. import sim
-from ..circuit import DEFAULT_MAX_QUBITS
+from ..circuit import DEFAULT_MAX_QUBITS, Histogram
 from ..qasm import QasmError, parse_qasm
+from ..runtime import Device, DeviceKind, DeviceWorker, Job, JobHandle, JobStatus
 from . import protocol
 
 
-@dataclass
-class _JobRecord:
-    job_id: int
-    circuit: object
-    shots: int
-    seed: int
-    status: str = "Queued"  # Queued | Running | Done | Failed
-    counts: list[int] | None = None
-    server_wall_time: float = 0.0
-    error_message: str = ""
-    fetched_at: float | None = None
+def _is_int(value) -> bool:
+    """A JSON integer; `true`/`false` decode to bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+class _PassThenSimulate:
+    """The server's device backend: optimization pass, then simulation."""
+
+    def __init__(self, optimization_pass):
+        self.optimization_pass = optimization_pass
+
+    def run(self, job: Job) -> Histogram:
+        histogram = sim.run_and_sample(self.optimization_pass(job.circuit),
+                                       job.shots, job.seed)
+        # Retained counts get a fresh exact-size copy, allocated after the
+        # simulation's arrays are freed, so they do not hold the heap high.
+        return Histogram(tuple(iter(histogram.counts)), histogram.shots)
 
 
 class ResourceManagerServer:
@@ -43,6 +49,7 @@ class ResourceManagerServer:
                  optimization_pass=None):
         if latency < 0:
             raise ValueError("latency must be >= 0")
+        device = Device("resman", DeviceKind.LOCAL_SIMULATOR, capacity)
         self.capacity = capacity
         self.latency = latency
         self.result_ttl = result_ttl
@@ -55,19 +62,18 @@ class ResourceManagerServer:
         self._sock.listen()
         self.address: tuple[str, int] = self._sock.getsockname()
 
-        self._jobs: dict[int, _JobRecord] = {}
+        self._jobs: dict[int, JobHandle] = {}
+        self._fetched_at: dict[int, float] = {}
         self._jobs_lock = threading.Lock()
         self._ids = itertools.count(1)
-        self._queue: queue.Queue = queue.Queue()
         self._shutdown = threading.Event()
 
-        self._worker = threading.Thread(target=self._run_jobs, daemon=True,
-                                        name="resman-worker")
+        self._worker = DeviceWorker(device,
+                                    _PassThenSimulate(self.optimization_pass))
         self._acceptor = threading.Thread(target=self._accept_loop, daemon=True,
                                           name="resman-accept")
 
     def start(self) -> "ResourceManagerServer":
-        self._worker.start()
         self._acceptor.start()
         return self
 
@@ -76,42 +82,18 @@ class ResourceManagerServer:
         if self._shutdown.is_set():
             return
         self._shutdown.set()
-        self._queue.put(None)
+        self._worker.stop()
         try:
             self._sock.close()
         except OSError:
             pass
-        self._worker.join(timeout=30)
+        self._worker.thread.join(timeout=30)
 
     def __enter__(self) -> "ResourceManagerServer":
         return self.start()
 
     def __exit__(self, *exc) -> None:
         self.shutdown()
-
-    # Job execution
-
-    def _run_jobs(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            record: _JobRecord = item
-            with self._jobs_lock:
-                record.status = "Running"
-            started = time.monotonic()
-            try:
-                circuit = self.optimization_pass(record.circuit)
-                histogram = sim.run_and_sample(circuit, record.shots, record.seed)
-            except Exception as exc:
-                with self._jobs_lock:
-                    record.status = "Failed"
-                    record.error_message = str(exc)
-                continue
-            with self._jobs_lock:
-                record.status = "Done"
-                record.counts = list(histogram.counts)
-                record.server_wall_time = time.monotonic() - started
 
     # Connection handling
 
@@ -157,20 +139,24 @@ class ResourceManagerServer:
             return protocol.pong()
         if kind == "SubmitJob":
             return self._handle_submit(msg)
+        if kind not in ("QueryStatus", "FetchResult"):
+            return protocol.error("UNSUPPORTED",
+                                  f"server cannot handle kind {kind!r}")
+        job_id = msg["job_id"]
+        if not _is_int(job_id):
+            return protocol.error("BAD_REQUEST", "job_id must be an integer")
+        with self._jobs_lock:
+            handle = self._jobs.get(job_id)
+        if handle is None:
+            return protocol.error("UNKNOWN_JOB", f"no job {job_id!r}")
         if kind == "QueryStatus":
-            record = self._lookup(msg)
-            if record is None:
-                return protocol.error("UNKNOWN_JOB", f"no job {msg['job_id']!r}")
-            with self._jobs_lock:
-                return protocol.status(record.status)
-        if kind == "FetchResult":
-            return self._handle_fetch(msg)
-        return protocol.error("UNSUPPORTED", f"server cannot handle kind {kind!r}")
+            return protocol.status(handle.status.value)
+        return self._handle_fetch(handle)
 
     def _handle_submit(self, msg: dict) -> dict:
-        if not isinstance(msg["shots"], int) or msg["shots"] < 1:
+        if not _is_int(msg["shots"]) or msg["shots"] < 1:
             return protocol.error("BAD_REQUEST", "shots must be a positive integer")
-        if not isinstance(msg["seed"], int) or msg["seed"] < 0:
+        if not _is_int(msg["seed"]) or msg["seed"] < 0:
             return protocol.error("BAD_REQUEST", "seed must be a non-negative integer")
         try:
             circuit = parse_qasm(msg["qasm"])
@@ -181,38 +167,36 @@ class ResourceManagerServer:
                 "CAPACITY",
                 f"circuit needs {circuit.num_qubits} qubits, capacity is {self.capacity}",
             )
-        record = _JobRecord(next(self._ids), circuit, msg["shots"], msg["seed"])
+        job = Job(circuit, msg["shots"], msg["seed"], submitted_at=time.monotonic())
+        handle = JobHandle(next(self._ids), self._worker.device.name)
         with self._jobs_lock:
-            self._jobs[record.job_id] = record
-        self._queue.put(record)
-        return protocol.accepted(record.job_id)
+            self._jobs[handle.job_id] = handle
+        self._worker.jobs.put((job, handle))
+        return protocol.accepted(handle.job_id)
 
-    def _handle_fetch(self, msg: dict) -> dict:
-        record = self._lookup(msg)
-        if record is None:
-            return protocol.error("UNKNOWN_JOB", f"no job {msg['job_id']!r}")
+    def _handle_fetch(self, handle: JobHandle) -> dict:
+        status = handle.status
+        if status is JobStatus.FAILED:
+            reply = protocol.error("JOB_FAILED", str(handle.error))
+        elif status is JobStatus.DONE:
+            result = handle.result
+            reply = protocol.result(result.histogram.counts, result.histogram.shots,
+                                    result.finished_at - result.started_at)
+        else:
+            return protocol.error("NOT_READY",
+                                  f"job {handle.job_id} is {status.value}")
         with self._jobs_lock:
-            if record.status == "Failed":
-                return protocol.error("JOB_FAILED", record.error_message)
-            if record.status != "Done":
-                return protocol.error("NOT_READY",
-                                      f"job {record.job_id} is {record.status}")
-            record.fetched_at = time.monotonic()
-            return protocol.result(record.counts, record.shots,
-                                   record.server_wall_time)
-
-    def _lookup(self, msg: dict) -> _JobRecord | None:
-        job_id = msg["job_id"]
-        with self._jobs_lock:
-            return self._jobs.get(job_id)
+            self._fetched_at[handle.job_id] = time.monotonic()
+        return reply
 
     def _evict_fetched(self) -> None:
         cutoff = time.monotonic() - self.result_ttl
         with self._jobs_lock:
-            stale = [jid for jid, rec in self._jobs.items()
-                     if rec.fetched_at is not None and rec.fetched_at < cutoff]
+            stale = [jid for jid, at in self._fetched_at.items() if at < cutoff]
             for jid in stale:
-                del self._jobs[jid]
+                del self._fetched_at[jid]
+                # A fetch that raced an earlier sweep re-stamps an evicted job.
+                self._jobs.pop(jid, None)
 
 
 def serve(host: str = "127.0.0.1", port: int = 0, *,

@@ -56,7 +56,6 @@ class Device:
     kind: DeviceKind
     capacity: int = DEFAULT_MAX_QUBITS
     endpoint: tuple[str, int] | None = None
-    injected_latency: float = 0.0  # informational mirror of the server's knob
 
     def __post_init__(self):
         if self.capacity < 1:
@@ -105,6 +104,16 @@ class JobHandle:
         with self._lock:
             return self._status
 
+    @property
+    def result(self) -> JobResult | None:
+        """The result once the status is Done, else None."""
+        return self._result
+
+    @property
+    def error(self) -> Exception | None:
+        """The backend's exception once the status is Failed, else None."""
+        return self._error
+
     def _set_running(self) -> None:
         with self._lock:
             self._status = JobStatus.RUNNING
@@ -148,7 +157,10 @@ def _default_backend(device: Device):
     return RemoteBackend(device.endpoint)
 
 
-class _DeviceWorker:
+class DeviceWorker:
+    """A device's FIFO queue of (Job, JobHandle) pairs and the thread that
+    runs them on its backend; `stop` ends the thread after the queued jobs."""
+
     def __init__(self, device: Device, backend):
         self.device = device
         self.backend = backend
@@ -188,7 +200,7 @@ class DeviceRegistry:
     """Named devices with one FIFO worker each. Thread-safe after setup."""
 
     def __init__(self):
-        self._workers: dict[str, _DeviceWorker] = {}
+        self._workers: dict[str, DeviceWorker] = {}
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
 
@@ -196,7 +208,7 @@ class DeviceRegistry:
         with self._lock:
             if device.name in self._workers:
                 raise DuplicateDeviceError(f"device {device.name!r} already registered")
-            self._workers[device.name] = _DeviceWorker(
+            self._workers[device.name] = DeviceWorker(
                 device, backend if backend is not None else _default_backend(device)
             )
 

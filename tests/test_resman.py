@@ -9,8 +9,13 @@ from qoffload.circuit import bell_circuit
 from qoffload.qasm import emit_qasm
 from qoffload.resman import ResmanClient, ServerError, client_submit, serve
 from qoffload.resman import protocol
+from qoffload.runtime import Device, DeviceKind, DeviceRegistry, JobFailedError
 
 from oracles import random_circuit
+
+
+def _failing_pass(circuit):
+    raise ValueError("pass rejected the circuit")
 
 
 @pytest.fixture
@@ -81,14 +86,18 @@ class TestServer:
         assert response["kind"] == "Error"
         assert response["code"] == "BAD_FRAME"
 
-    def test_result_evicted_after_ttl(self):
-        srv = serve(result_ttl=0.05)
+    @pytest.mark.parametrize("optimization_pass", [None, _failing_pass],
+                             ids=["done", "failed"])
+    def test_result_evicted_after_ttl(self, optimization_pass):
+        srv = serve(result_ttl=0.05, optimization_pass=optimization_pass)
         try:
             with ResmanClient(srv.address) as client:
                 job_id = client.submit(emit_qasm(bell_circuit()), 10, 0)
-                while client.job_status(job_id) != "Done":
+                while client.job_status(job_id) not in ("Done", "Failed"):
                     time.sleep(0.001)
-                client.fetch(job_id)
+                first = client.request(protocol.fetch_result(job_id))
+                assert first["kind"] == ("Result" if optimization_pass is None
+                                         else "Error")
                 time.sleep(0.1)
                 client.ping()  # triggers the eviction sweep
                 with pytest.raises(ServerError) as exc:
@@ -96,6 +105,48 @@ class TestServer:
                 assert exc.value.code == "UNKNOWN_JOB"
         finally:
             srv.shutdown()
+
+    def test_failed_job_reported(self):
+        srv = serve(optimization_pass=_failing_pass)
+        registry = DeviceRegistry()
+        try:
+            with ResmanClient(srv.address) as client:
+                job_id = client.submit(emit_qasm(bell_circuit()), 10, 0)
+                deadline = time.monotonic() + 10
+                while client.job_status(job_id) != "Failed":
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+            with pytest.raises(ServerError) as exc:
+                client_submit(srv.address, bell_circuit(), 10, 0)
+            assert exc.value.code == "JOB_FAILED"
+            assert "pass rejected the circuit" in str(exc.value)
+
+            registry.register(Device("qpu", DeviceKind.REMOTE,
+                                     endpoint=srv.address))
+            with pytest.raises(JobFailedError, match="pass rejected"):
+                registry.submit_sync("qpu", bell_circuit(), 10, 0)
+        finally:
+            registry.shutdown()
+            srv.shutdown()
+
+    @pytest.mark.parametrize("request_msg", [
+        {"kind": "QueryStatus", "job_id": [1]},
+        {"kind": "FetchResult", "job_id": [1]},
+        {"kind": "QueryStatus", "job_id": True},
+        {"kind": "FetchResult", "job_id": True},
+        {"kind": "SubmitJob", "qasm": emit_qasm(bell_circuit()),
+         "shots": True, "seed": 0},
+        {"kind": "SubmitJob", "qasm": emit_qasm(bell_circuit()),
+         "shots": 10, "seed": False},
+    ], ids=["status-list-id", "fetch-list-id", "status-bool-id",
+            "fetch-bool-id", "bool-shots", "bool-seed"])
+    def test_bad_field_type_rejected(self, server, request_msg):
+        with ResmanClient(server.address) as client:
+            client_submit(server.address, bell_circuit(), 10, 0)  # job 1 exists
+            response = client.request(request_msg)
+            assert response["kind"] == "Error"
+            assert response["code"] == "BAD_REQUEST"
+            client.ping()  # the connection survives
 
     def test_optimization_pass_hook_runs(self):
         seen = []
