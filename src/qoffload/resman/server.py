@@ -57,9 +57,13 @@ class ResourceManagerServer:
         self.optimization_pass = optimization_pass or (lambda circuit: circuit)
 
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))  # raises OSError on unbindable address
-        self._sock.listen()
+        try:
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._sock.bind((host, port))  # raises OSError on unbindable address
+            self._sock.listen()
+        except BaseException:
+            self._sock.close()
+            raise
         self.address: tuple[str, int] = self._sock.getsockname()
 
         self._jobs: dict[int, JobHandle] = {}

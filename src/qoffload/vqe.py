@@ -1,10 +1,11 @@
 """Variational quantum eigensolver on top of the offload runtime.
 
 Hardware-efficient ansatz (one RY per qubit per layer, CX ring entanglers),
-Pauli-sum expectation estimation via per-term basis-rotated jobs, and a
-Nelder-Mead variational loop. Shots = 0 selects exact (shot-free) expectation
-values on the local simulator, used for optimizer validation; sampled mode is
-the device-faithful path.
+Pauli-sum expectation estimation and a Nelder-Mead variational loop.
+Shots = 0 selects exact (shot-free) expectation values on the local
+simulator, used for optimizer validation: the ansatz is simulated once per
+parameter vector and every Pauli term is read off that one statevector.
+Sampled mode is the device-faithful path: one basis-rotated job per term.
 """
 from __future__ import annotations
 
@@ -159,16 +160,43 @@ def basis_change(body: Circuit, operators: str) -> Circuit:
     return circuit.measure()
 
 
+# Bit digits of a Pauli string's masks: flips (X, Y) and phase signs (Y, Z).
+_FLIP_BITS = str.maketrans("IXYZ", "0110")
+_SIGN_BITS = str.maketrans("IXYZ", "0011")
+
+
+def _pauli_masks(operators: str) -> tuple[int, int]:
+    """(x, z) bit masks of a Pauli string, qubit q at bit q. The string reads
+    most-significant qubit first, as a binary numeral does."""
+    return (int(operators.translate(_FLIP_BITS), 2),
+            int(operators.translate(_SIGN_BITS), 2))
+
+
+def _signs(index: np.ndarray, mask: int) -> np.ndarray:
+    """(-1)^popcount(k & mask) for each k in `index`, an int64 array: the
+    bits are folded onto bit 0 by XOR."""
+    bits = index & mask
+    for shift in (32, 16, 8, 4, 2, 1):
+        bits ^= bits >> shift
+    return np.where(bits & 1, -1.0, 1.0)
+
+
 def _parity_signs(num_qubits: int, operators: str) -> np.ndarray:
     """+1/-1 per outcome index: parity of measured bits at the term's
     non-identity positions."""
-    mask = 0
-    for q in range(num_qubits):
-        if operators[num_qubits - 1 - q] != "I":
-            mask |= 1 << q
-    idx = np.arange(1 << num_qubits)
-    ones = np.array([bin(k & mask).count("1") for k in idx])
-    return np.where(ones % 2 == 0, 1.0, -1.0)
+    x, z = _pauli_masks(operators)
+    return _signs(np.arange(1 << num_qubits), x | z)
+
+
+def _pauli_expectation(state: np.ndarray, index: np.ndarray,
+                       parity: np.ndarray, operators: str) -> float:
+    """<psi|P|psi> read directly off the state, where `index` is
+    arange(len(state)) and `parity` is (-1)^popcount(index).
+    P|k> = i^nY (-1)^popcount(k & z) |k ^ x>, so
+    <P> = i^nY sum_k (-1)^popcount(k & z) conj(psi[k ^ x]) psi[k]."""
+    x, z = _pauli_masks(operators)
+    value = np.vdot(state[index ^ x], parity[index & z] * state)
+    return float((1j ** operators.count("Y") * value).real)
 
 
 class _SeedStream:
@@ -188,8 +216,10 @@ def estimate_expectation(hamiltonian: Hamiltonian, spec: AnsatzSpec, theta,
                          shots: int, registry: DeviceRegistry | None = None,
                          device_name: str | None = None,
                          seeds: _SeedStream | int = 0) -> float:
-    """<H> at the given parameters: one device job per non-identity term,
-    identity terms contribute their coefficient analytically."""
+    """<H> at the given parameters. Identity terms contribute their
+    coefficient analytically. Exact mode simulates the ansatz once and reads
+    every other term off that statevector; sampled mode runs one
+    basis-rotated device job per non-identity term."""
     if spec.num_qubits != hamiltonian.num_qubits:
         raise VqeError("ansatz and Hamiltonian qubit counts differ")
     if isinstance(seeds, int):
@@ -202,17 +232,21 @@ def estimate_expectation(hamiltonian: Hamiltonian, spec: AnsatzSpec, theta,
             raise VqeError("exact mode is local-simulator only")
 
     body = build_ansatz_body(spec, theta)
+    if exact and not all(term.is_identity for term in hamiltonian.terms):
+        state = sim.run_statevector(body)
+        index = np.arange(state.size)
+        parity = _signs(index, state.size - 1)
     energy = 0.0
     for term in hamiltonian.terms:
         if term.is_identity:
             energy += term.coefficient
             continue
-        circuit = basis_change(body, term.operators)
-        signs = _parity_signs(spec.num_qubits, term.operators)
         if exact:
-            probabilities = sim.exact_probabilities(sim.run_statevector(circuit))
-            expectation = float(signs @ probabilities)
+            expectation = _pauli_expectation(state, index, parity,
+                                             term.operators)
         else:
+            circuit = basis_change(body, term.operators)
+            signs = _parity_signs(spec.num_qubits, term.operators)
             result = registry.submit_sync(device_name, circuit, shots, seeds.next())
             counts = np.asarray(result.histogram.counts, dtype=float)
             expectation = float(signs @ counts) / shots

@@ -182,7 +182,8 @@ class TestServe:
                 client.ping()
         finally:
             proc.send_signal(signal.SIGINT)
-            assert proc.wait(timeout=10) == 0
+            proc.communicate(timeout=10)  # waits and closes the pipes
+            assert proc.returncode == 0
 
     def test_serve_latency_round_trip(self):
         from qoffload.circuit import bell_circuit
@@ -194,7 +195,7 @@ class TestServe:
             assert result.wall_time >= 0.10
         finally:
             proc.send_signal(signal.SIGINT)
-            proc.wait(timeout=10)
+            proc.communicate(timeout=10)
 
     def test_bind_in_use_exit_4(self):
         sock = socket.socket()

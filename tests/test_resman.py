@@ -1,6 +1,8 @@
+import gc
 import random
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -213,3 +215,17 @@ def test_server_bind_failure():
             serve(port=srv.address[1])
     finally:
         srv.shutdown()
+
+
+def test_server_bind_failure_closes_socket():
+    srv = serve()
+    gc.collect()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(OSError):
+                serve(port=srv.address[1])
+            gc.collect()
+    finally:
+        srv.shutdown()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

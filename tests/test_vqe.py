@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from qoffload import sim
+from qoffload import sim, vqe
 from qoffload.circuit import GateKind
 from qoffload.vqe import (
     AnsatzSpec,
@@ -13,6 +13,8 @@ from qoffload.vqe import (
     VqeConfig,
     VqeError,
     VqeReport,
+    _parity_signs,
+    _pauli_expectation,
     basis_change,
     build_ansatz,
     build_ansatz_body,
@@ -20,7 +22,12 @@ from qoffload.vqe import (
     optimize,
 )
 
-from oracles import dense_statevector, hamiltonian_matrix
+from oracles import (
+    dense_statevector,
+    hamiltonian_matrix,
+    pauli_string_matrix,
+    random_circuit,
+)
 
 H2MIN_TERMS = [(-1.0, "ZZ"), (0.5, "XI"), (0.5, "IX")]
 H2MIN = Hamiltonian.from_terms(H2MIN_TERMS)
@@ -114,6 +121,45 @@ class TestBasisChange:
             basis_change(body, "XYZ")
 
 
+def _popcount_signs(num_qubits: int, operators: str) -> np.ndarray:
+    """Reference parity signs: a Python popcount per outcome index."""
+    mask = 0
+    for q in range(num_qubits):
+        if operators[num_qubits - 1 - q] != "I":
+            mask |= 1 << q
+    ones = np.array([bin(k & mask).count("1") for k in range(1 << num_qubits)])
+    return np.where(ones % 2 == 0, 1.0, -1.0)
+
+
+class TestPauliEvaluation:
+    def test_parity_signs_match_popcount(self):
+        rng = random.Random(21)
+        for n in range(1, 13):
+            for _ in range(4):
+                ops = "".join(rng.choice("IXYZ") for _ in range(n))
+                signs = _parity_signs(n, ops)
+                assert signs.dtype == np.float64
+                assert np.array_equal(signs, _popcount_signs(n, ops))
+
+    def test_direct_expectation_matches_basis_rotated_route(self):
+        # Random circuits over every gate kind give complex states, so
+        # strings with an odd number of Y factors have nonzero expectations.
+        rng = random.Random(33)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            body = random_circuit(rng, n, rng.randint(1, 25), measured=False)
+            ops = "".join(rng.choice("IXYZ") for _ in range(n))
+            state = sim.run_statevector(body)
+            direct = _pauli_expectation(state, np.arange(state.size),
+                                        _parity_signs(n, "Z" * n), ops)
+            rotated = sim.run_statevector(basis_change(body, ops))
+            via_basis = float(_parity_signs(n, ops)
+                              @ sim.exact_probabilities(rotated))
+            assert abs(direct - via_basis) < 1e-12
+            dense = np.vdot(state, pauli_string_matrix(ops) @ state).real
+            assert abs(direct - dense) < 1e-12
+
+
 class TestEstimateExpectation:
     def test_z_on_ground_state(self):
         h = Hamiltonian.from_terms([(1.0, "Z")])
@@ -157,6 +203,64 @@ class TestEstimateExpectation:
             merged = [(t.coefficient, t.operators) for t in h.terms]
             exact = float(np.real(sv.conj() @ hamiltonian_matrix(merged) @ sv))
             assert abs(value - exact) < 1e-10
+
+    def test_exact_matches_dense_oracle_y_heavy(self):
+        rng = random.Random(45)
+        for n in range(4, 7):
+            for _ in range(4):
+                terms = [(rng.uniform(-2, 2),
+                          "".join(rng.choice("YYYXZI") for _ in range(n)))
+                         for _ in range(6)]
+                h = Hamiltonian.from_terms(terms)
+                spec = AnsatzSpec(n, 2)
+                theta = [rng.uniform(-3, 3) for _ in range(spec.num_parameters)]
+                value = estimate_expectation(h, spec, theta, shots=0)
+                sv = dense_statevector(build_ansatz_body(spec, theta))
+                merged = [(t.coefficient, t.operators) for t in h.terms]
+                exact = float(np.real(sv.conj() @ hamiltonian_matrix(merged) @ sv))
+                assert abs(value - exact) < 1e-10
+
+    @pytest.mark.parametrize("terms, calls", [
+        ([(0.5, "IIII"), (1.0, "XYZI"), (-0.3, "ZZYY"), (0.2, "IIIX")], 1),
+        ([(0.5, "IIII")], 0),
+    ])
+    def test_exact_mode_simulates_once(self, monkeypatch, terms, calls):
+        counted = []
+        run_statevector = sim.run_statevector
+
+        def counting(circuit, *args, **kwargs):
+            counted.append(circuit)
+            return run_statevector(circuit, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "run_statevector", counting)
+        h = Hamiltonian.from_terms(terms)
+        spec = AnsatzSpec(4, 1)
+        for theta in ([0.1, 0.2, 0.3, 0.4], [1.0, -1.0, 2.0, -2.0]):
+            counted.clear()
+            estimate_expectation(h, spec, theta, shots=0)
+            assert len(counted) == calls
+
+    def test_optimize_simulates_once_per_evaluation(self, monkeypatch):
+        counted = []
+        evaluations = []
+        run_statevector = sim.run_statevector
+        estimate = vqe.estimate_expectation
+
+        def counting_run(circuit, *args, **kwargs):
+            counted.append(circuit)
+            return run_statevector(circuit, *args, **kwargs)
+
+        def counting_estimate(*args, **kwargs):
+            evaluations.append(None)
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "run_statevector", counting_run)
+        monkeypatch.setattr(vqe, "estimate_expectation", counting_estimate)
+        config = VqeConfig(initial_theta=[0.1] * 4, max_iterations=10,
+                           tolerance=0.0, shots=0)
+        report = optimize(H2MIN, AnsatzSpec(2, 2), config)
+        assert len(evaluations) == len(report.energy_trace) > 0
+        assert len(counted) == len(evaluations)
 
     def test_sampled_converges_to_exact(self, registry):
         spec = AnsatzSpec(2, 1)
