@@ -198,14 +198,13 @@ class Histogram:
         n = len(self.counts)
         if n < 2 or n & (n - 1):
             raise ValueError(f"counts length must be a power of two >= 2, got {n}")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise ValueError("negative count")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if sum(self.counts) != self.shots:
-            raise ValueError(
-                f"counts sum {sum(self.counts)} != shots {self.shots}"
-            )
+        total = sum(self.counts)
+        if total != self.shots:
+            raise ValueError(f"counts sum {total} != shots {self.shots}")
 
     @property
     def num_qubits(self) -> int:

@@ -66,11 +66,20 @@ class ResmanClient:
 
     def fetch(self, job_id: int) -> tuple[Histogram, float]:
         """Fetch a finished job's histogram and server-side wall time."""
-        response = self.request(protocol.fetch_result(job_id))
-        if response["kind"] == "Error":
-            raise ServerError(response["code"], response["message"])
-        histogram = Histogram(tuple(response["counts"]), response["shots"])
-        return histogram, response["server_wall_time"]
+        return _histogram(self.request(protocol.fetch_result(job_id)))
+
+    def run(self, qasm: str, shots: int, seed: int) -> tuple[Histogram, float]:
+        """Submit a job and block until its histogram and server-side wall
+        time arrive: one request, `SubmitJob` with `wait`."""
+        return _histogram(self.request(
+            protocol.submit_job(qasm, shots, seed, wait=True)))
+
+
+def _histogram(response: dict) -> tuple[Histogram, float]:
+    if response["kind"] == "Error":
+        raise ServerError(response["code"], response["message"])
+    histogram = Histogram(tuple(response["counts"]), response["shots"])
+    return histogram, response["server_wall_time"]
 
 
 def client_submit(endpoint: tuple[str, int], circuit: Circuit,

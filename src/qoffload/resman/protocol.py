@@ -134,8 +134,12 @@ def pong() -> dict:
     return {"kind": "Pong"}
 
 
-def submit_job(qasm: str, shots: int, seed: int) -> dict:
-    return {"kind": "SubmitJob", "qasm": qasm, "shots": shots, "seed": seed}
+def submit_job(qasm: str, shots: int, seed: int, wait: bool = False) -> dict:
+    """A SubmitJob; with wait the reply is the job's Result or Error."""
+    msg = {"kind": "SubmitJob", "qasm": qasm, "shots": shots, "seed": seed}
+    if wait:
+        msg["wait"] = True
+    return msg
 
 
 def query_status(job_id: int) -> dict:

@@ -2,9 +2,11 @@
 
 Accepts framed JSON requests, parses submitted QASM and queues jobs FIFO onto
 one runtime device worker (one simulated device), whose handles hold the
-results until fetched. A configurable one-way delay is slept before each
-request is processed, modelling the link latency of a remote (off-premise)
-device.
+results until fetched. A `SubmitJob` with `wait` blocks its connection until
+the job finishes and is answered like a `FetchResult`, so a job costs one
+request instead of submit, status polls and fetch. A configurable one-way
+delay is slept before each request is processed, modelling the link latency
+of a remote (off-premise) device.
 """
 from __future__ import annotations
 
@@ -130,11 +132,20 @@ class ResourceManagerServer:
                     return
                 if self.latency > 0:
                     time.sleep(self.latency)
-                response = self._handle(msg)
                 try:
-                    protocol.send_message(conn, response)
+                    conn.sendall(self._reply_frame(msg))
                 except OSError:
                     return
+
+    def _reply_frame(self, msg: dict) -> bytes:
+        """The framed reply to one request. Only a `Result` grows with the
+        job; one too large for a frame is answered `JOB_FAILED`: the job ran,
+        but its counts cannot be sent."""
+        try:
+            return protocol.encode_frame(self._handle(msg))
+        except protocol.OversizedFrameError as exc:
+            return protocol.encode_frame(protocol.error(
+                "JOB_FAILED", f"result does not fit in a frame: {exc}"))
 
     def _handle(self, msg: dict) -> dict:
         self._evict_fetched()
@@ -162,6 +173,9 @@ class ResourceManagerServer:
             return protocol.error("BAD_REQUEST", "shots must be a positive integer")
         if not _is_int(msg["seed"]) or msg["seed"] < 0:
             return protocol.error("BAD_REQUEST", "seed must be a non-negative integer")
+        wait = msg.get("wait", False)
+        if not isinstance(wait, bool):
+            return protocol.error("BAD_REQUEST", "wait must be a boolean")
         try:
             circuit = parse_qasm(msg["qasm"])
         except QasmError as exc:
@@ -175,7 +189,10 @@ class ResourceManagerServer:
         handle = JobHandle(next(self._ids), self._worker.device.name)
         with self._jobs_lock:
             self._jobs[handle.job_id] = handle
-        self._worker.jobs.put((job, handle))
+        self._worker.submit(job, handle)
+        if wait:
+            handle.wait()
+            return self._handle_fetch(handle)
         return protocol.accepted(handle.job_id)
 
     def _handle_fetch(self, handle: JobHandle) -> dict:

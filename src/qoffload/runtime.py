@@ -4,6 +4,11 @@ Each registered device owns one worker thread draining a FIFO queue, so at
 most one job executes per device and submission order is completion order.
 `submit_sync` is the blocking target-region analogue; `submit_async` returns a
 handle (the `nowait` analogue) that any thread may poll or wait on.
+
+A remote device's backend holds one persistent resource-manager connection
+and sends each job as one blocking `SubmitJob`, so a job costs one link
+latency leg. The device's worker thread is that connection's only user and
+closes it when the worker stops.
 """
 from __future__ import annotations
 
@@ -15,6 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .circuit import Circuit, DEFAULT_MAX_QUBITS, Histogram
+from .qasm import emit_qasm
 from . import sim
 
 
@@ -104,6 +110,10 @@ class JobHandle:
         with self._lock:
             return self._status
 
+    def wait(self, timeout: float | None = None) -> bool:
+        """Block until the job is Done or Failed; False on timeout."""
+        return self._done.wait(timeout)
+
     @property
     def result(self) -> JobResult | None:
         """The result once the status is Done, else None."""
@@ -138,17 +148,56 @@ class LocalSimulatorBackend:
         return sim.run_and_sample(job.circuit, job.shots, job.seed)
 
 
+# Seconds a remote job may take, link legs included, before it fails.
+_REPLY_TIMEOUT = 120.0
+
+
 class RemoteBackend:
-    """Executes jobs over the resource-manager wire protocol."""
+    """Executes jobs over the resource-manager wire protocol.
+
+    One connection, opened on the first job and kept open; each job is one
+    blocking `SubmitJob` on it (`ResmanClient.run`). Only the device's worker
+    thread calls `run` and `close`, so the connection needs no lock. A
+    reused connection that fails before its reply (EOF or `OSError`) is
+    reopened and the job resent once: a job is fully determined by its
+    circuit, shots and seed, so the resend returns the same histogram. A
+    reply that does not arrive within `_REPLY_TIMEOUT` seconds fails the job
+    and closes the connection; the next job opens a new one.
+    """
 
     def __init__(self, endpoint: tuple[str, int]):
         self.endpoint = endpoint
+        self._client = None
 
     def run(self, job: Job) -> Histogram:
-        from .resman.client import client_submit
+        # Imported here: the resman client imports this module.
+        from .resman.client import ResmanClient
+        from .resman.protocol import TruncatedFrameError
 
-        result = client_submit(self.endpoint, job.circuit, job.shots, job.seed)
-        return result.histogram
+        qasm = emit_qasm(job.circuit)
+        while True:
+            reused = self._client is not None
+            if not reused:
+                self._client = ResmanClient(self.endpoint,
+                                            timeout=_REPLY_TIMEOUT)
+            try:
+                histogram, _server_wall = self._client.run(qasm, job.shots,
+                                                           job.seed)
+                return histogram
+            except TimeoutError as exc:
+                self.close()
+                raise JobFailedError(
+                    f"no reply from {self.endpoint} within {_REPLY_TIMEOUT}s"
+                ) from exc
+            except (OSError, TruncatedFrameError):
+                self.close()
+                if not reused:  # only a reused connection gets a second try
+                    raise
+
+    def close(self) -> None:
+        if self._client is not None:
+            self._client.close()
+            self._client = None
 
 
 def _default_backend(device: Device):
@@ -159,21 +208,36 @@ def _default_backend(device: Device):
 
 class DeviceWorker:
     """A device's FIFO queue of (Job, JobHandle) pairs and the thread that
-    runs them on its backend; `stop` ends the thread after the queued jobs."""
+    runs them on its backend; `stop` ends the thread after the queued jobs
+    and then calls the backend's `close`, if it has one."""
 
     def __init__(self, device: Device, backend):
         self.device = device
         self.backend = backend
         self.jobs: queue.Queue = queue.Queue()
+        self._stopped = False
+        self._lock = threading.Lock()
         self.thread = threading.Thread(
             target=self._run, name=f"device-{device.name}", daemon=True
         )
         self.thread.start()
 
+    def submit(self, job: Job, handle: JobHandle) -> None:
+        """Queue the job; once `stop` was called, fail it instead, since no
+        thread would ever run it and its handle would wait forever."""
+        with self._lock:
+            if not self._stopped:
+                self.jobs.put((job, handle))
+                return
+        handle._fail(RuntimeError_(f"device {self.device.name!r} is shut down"))
+
     def _run(self) -> None:
         while True:
             item = self.jobs.get()
             if item is None:
+                close = getattr(self.backend, "close", None)
+                if close is not None:
+                    close()
                 return
             job, handle = item
             handle._set_running()
@@ -193,7 +257,9 @@ class DeviceWorker:
             ))
 
     def stop(self) -> None:
-        self.jobs.put(None)
+        with self._lock:
+            self._stopped = True
+            self.jobs.put(None)
 
 
 class DeviceRegistry:
@@ -235,7 +301,7 @@ class DeviceRegistry:
             )
         job = Job(circuit, shots, seed, submitted_at=time.monotonic())
         handle = JobHandle(next(self._ids), device_name)
-        worker.jobs.put((job, handle))
+        worker.submit(job, handle)
         return handle
 
     def submit_sync(self, device_name: str, circuit: Circuit,
@@ -244,7 +310,7 @@ class DeviceRegistry:
 
     def wait(self, handle: JobHandle, timeout: float | None = None) -> JobResult:
         """Block until the job completes; idempotent per handle."""
-        if not handle._done.wait(timeout):
+        if not handle.wait(timeout):
             raise TimeoutError(f"job {handle.job_id} did not complete in {timeout}s")
         if handle._error is not None:
             raise JobFailedError(

@@ -123,7 +123,7 @@ def sample(state: np.ndarray, shots: int, seed: int) -> Histogram:
     p /= p.sum()
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, p)
-    return Histogram(tuple(int(c) for c in counts), shots)
+    return Histogram(tuple(counts.tolist()), shots)
 
 
 def run_and_sample(circuit: Circuit, shots: int, seed: int) -> Histogram:

@@ -137,7 +137,7 @@ class TestGateMatrix:
 
 class TestHistogram:
     def test_sum_must_equal_shots(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="counts sum 3 != shots 4"):
             Histogram((1, 2), 4)
 
     def test_roundtrip_dict(self):
@@ -146,7 +146,7 @@ class TestHistogram:
         assert h.num_qubits == 2
 
     def test_negative_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative count"):
             Histogram((-1, 2), 1)
 
 

@@ -1,17 +1,21 @@
+import collections
 import gc
 import random
+import socket
 import threading
 import time
 import warnings
 
 import pytest
 
-from qoffload import sim
+from qoffload import runtime, sim
 from qoffload.circuit import bell_circuit
 from qoffload.qasm import emit_qasm
-from qoffload.resman import ResmanClient, ServerError, client_submit, serve
+from qoffload.resman import (ResmanClient, ResourceManagerServer, ServerError,
+                             client_submit, serve)
 from qoffload.resman import protocol
-from qoffload.runtime import Device, DeviceKind, DeviceRegistry, JobFailedError
+from qoffload.runtime import (Device, DeviceKind, DeviceRegistry, JobFailedError,
+                              RemoteBackend)
 
 from oracles import random_circuit
 
@@ -25,6 +29,26 @@ def server():
     srv = serve()
     yield srv
     srv.shutdown()
+
+
+def _counting_server(**kwargs):
+    """A started server that counts the requests it handles, by kind, and
+    the connections it accepts, under "connections"."""
+    srv = ResourceManagerServer(**kwargs)
+    counts = collections.Counter()
+    handle, serve_connection = srv._handle, srv._serve_connection
+
+    def counted_handle(msg):
+        counts[msg["kind"]] += 1
+        return handle(msg)
+
+    def counted_connection(conn):
+        counts["connections"] += 1
+        serve_connection(conn)
+
+    srv._handle = counted_handle
+    srv._serve_connection = counted_connection
+    return srv.start(), counts
 
 
 class TestServer:
@@ -108,6 +132,46 @@ class TestServer:
         finally:
             srv.shutdown()
 
+    @pytest.mark.parametrize("optimization_pass", [None, _failing_pass],
+                             ids=["done", "failed"])
+    def test_waited_result_evicted_after_ttl(self, optimization_pass):
+        srv = serve(result_ttl=0.05, optimization_pass=optimization_pass)
+        try:
+            with ResmanClient(srv.address) as client:
+                reply = client.request(protocol.submit_job(
+                    emit_qasm(bell_circuit()), 10, 0, wait=True))
+                if optimization_pass is None:
+                    assert reply["kind"] == "Result"
+                    assert sum(reply["counts"]) == 10
+                else:
+                    assert reply["kind"] == "Error"
+                    assert reply["code"] == "JOB_FAILED"
+                    assert "pass rejected the circuit" in reply["message"]
+                time.sleep(0.1)
+                client.ping()  # triggers the eviction sweep
+                with pytest.raises(ServerError) as exc:
+                    client.fetch(1)
+                assert exc.value.code == "UNKNOWN_JOB"
+        finally:
+            srv.shutdown()
+
+    def test_waited_submit_after_shutdown_fails(self):
+        srv = serve(latency=0.3)
+        # Shut down while the request sleeps its latency on the server: the
+        # job then reaches a stopped worker, and fails instead of blocking
+        # the connection forever.
+        timer = threading.Timer(0.1, srv.shutdown)
+        try:
+            with ResmanClient(srv.address, timeout=10) as client:
+                timer.start()
+                with pytest.raises(ServerError) as exc:
+                    client.run(emit_qasm(bell_circuit()), 10, 0)
+                assert exc.value.code == "JOB_FAILED"
+                assert "shut down" in str(exc.value)
+        finally:
+            timer.join(timeout=5)
+            srv.shutdown()
+
     def test_failed_job_reported(self):
         srv = serve(optimization_pass=_failing_pass)
         registry = DeviceRegistry()
@@ -140,8 +204,12 @@ class TestServer:
          "shots": True, "seed": 0},
         {"kind": "SubmitJob", "qasm": emit_qasm(bell_circuit()),
          "shots": 10, "seed": False},
+        {"kind": "SubmitJob", "qasm": emit_qasm(bell_circuit()),
+         "shots": 10, "seed": 0, "wait": 1},
+        {"kind": "SubmitJob", "qasm": emit_qasm(bell_circuit()),
+         "shots": 10, "seed": 0, "wait": "yes"},
     ], ids=["status-list-id", "fetch-list-id", "status-bool-id",
-            "fetch-bool-id", "bool-shots", "bool-seed"])
+            "fetch-bool-id", "bool-shots", "bool-seed", "int-wait", "str-wait"])
     def test_bad_field_type_rejected(self, server, request_msg):
         with ResmanClient(server.address) as client:
             client_submit(server.address, bell_circuit(), 10, 0)  # job 1 exists
@@ -163,6 +231,133 @@ class TestServer:
         finally:
             srv.shutdown()
         assert len(seen) == 1
+
+
+class TestClientRun:
+    def test_waited_reply_equals_local_20_random(self, server):
+        rng = random.Random(2025)
+        with ResmanClient(server.address) as client:
+            for _ in range(20):
+                circuit = random_circuit(rng, rng.randint(1, 4),
+                                         rng.randint(1, 12))
+                seed = rng.randrange(2 ** 32)
+                histogram, wall = client.run(emit_qasm(circuit), 300, seed)
+                assert histogram == sim.run_and_sample(circuit, 300, seed)
+                assert wall >= 0
+
+
+class TestRemoteBackend:
+    def test_one_request_per_job_over_one_connection(self):
+        srv, counts = _counting_server()
+        registry = DeviceRegistry()
+        try:
+            registry.register(Device("qpu", DeviceKind.REMOTE,
+                                     endpoint=srv.address))
+            rng = random.Random(404)
+            jobs = [(random_circuit(rng, 3, 10), 200, rng.randrange(2 ** 32))
+                    for _ in range(8)]
+            handles = [registry.submit_async("qpu", *job) for job in jobs[:4]]
+            results = [registry.wait(h, timeout=30) for h in handles]
+            results += [registry.submit_sync("qpu", *job) for job in jobs[4:]]
+            for (circuit, shots, seed), result in zip(jobs, results):
+                assert result.histogram == sim.run_and_sample(circuit, shots,
+                                                              seed)
+            assert counts == {"SubmitJob": 8, "connections": 1}
+        finally:
+            registry.shutdown()
+            srv.shutdown()
+
+    def test_latency_lower_bound(self):
+        srv = serve(latency=0.05)
+        registry = DeviceRegistry()
+        try:
+            registry.register(Device("qpu", DeviceKind.REMOTE,
+                                     endpoint=srv.address))
+            result = registry.submit_sync("qpu", bell_circuit(), 100, 1)
+            # One leg, 50 ms, however few requests the job takes.
+            assert result.wall_time >= 0.05
+        finally:
+            registry.shutdown()
+            srv.shutdown()
+
+    def test_registry_shutdown_closes_connection(self):
+        srv, counts = _counting_server()
+        gc.collect()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                registry = DeviceRegistry()
+                registry.register(Device("qpu", DeviceKind.REMOTE,
+                                         endpoint=srv.address))
+                registry.submit_sync("qpu", bell_circuit(), 10, 0)
+                worker = registry._workers["qpu"]
+                registry.shutdown()
+                worker.thread.join(timeout=10)
+                assert not worker.thread.is_alive()
+                assert worker.backend._client is None
+                del registry, worker
+                gc.collect()
+        finally:
+            srv.shutdown()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert counts["connections"] == 1
+
+    def test_reconnects_after_connection_lost(self):
+        srv, counts = _counting_server()
+        backend = RemoteBackend(srv.address)
+        registry = DeviceRegistry()
+        try:
+            registry.register(Device("qpu", DeviceKind.REMOTE,
+                                     endpoint=srv.address), backend)
+            registry.submit_sync("qpu", bell_circuit(), 10, 0)
+            # The worker is idle between jobs, so the socket can be cut here.
+            backend._client._sock.shutdown(socket.SHUT_RDWR)
+            result = registry.submit_sync("qpu", bell_circuit(), 500, 3)
+            assert result.histogram == sim.run_and_sample(bell_circuit(), 500, 3)
+            assert counts["connections"] == 2
+        finally:
+            registry.shutdown()
+            srv.shutdown()
+
+    def test_reply_timeout_fails_job_then_reconnects(self, monkeypatch):
+        srv, counts = _counting_server(latency=0.3)
+        backend = RemoteBackend(srv.address)
+        monkeypatch.setattr(runtime, "_REPLY_TIMEOUT", 0.1)
+        registry = DeviceRegistry()
+        try:
+            registry.register(Device("qpu", DeviceKind.REMOTE,
+                                     endpoint=srv.address), backend)
+            with pytest.raises(JobFailedError, match="no reply"):
+                registry.submit_sync("qpu", bell_circuit(), 10, 0)
+            assert backend._client is None
+            monkeypatch.setattr(runtime, "_REPLY_TIMEOUT", 10.0)
+            result = registry.submit_sync("qpu", bell_circuit(), 10, 0)
+            assert result.histogram == sim.run_and_sample(bell_circuit(), 10, 0)
+            assert counts["connections"] == 2
+        finally:
+            registry.shutdown()
+            srv.shutdown()
+
+
+    def test_oversized_result_fails_job_once(self, monkeypatch):
+        # 10 qubits give 1024 counts, a Result frame of over 2 kB.
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 2000)
+        srv, counts = _counting_server()
+        registry = DeviceRegistry()
+        try:
+            registry.register(Device("qpu", DeviceKind.REMOTE,
+                                     endpoint=srv.address))
+            with pytest.raises(JobFailedError, match="does not fit in a frame"):
+                registry.submit_sync("qpu", random_circuit(random.Random(5), 10, 4),
+                                     10, 0)
+            # Answered, not dropped: the job is not resent, and the
+            # connection serves the next job.
+            result = registry.submit_sync("qpu", bell_circuit(), 10, 0)
+            assert result.histogram == sim.run_and_sample(bell_circuit(), 10, 0)
+            assert counts == {"SubmitJob": 2, "connections": 1}
+        finally:
+            registry.shutdown()
+            srv.shutdown()
 
 
 class TestClientSubmit:

@@ -116,6 +116,15 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(initial_state(1), 0, 0)
 
+    def test_counts_are_python_ints(self):
+        sv = run_statevector(create_circuit(4).h(0).h(1).h(2).h(3))
+        h = sample(sv, 5000, 11)
+        assert type(h.counts) is tuple
+        assert all(type(c) is int for c in h.counts)
+        reference = np.random.default_rng(11).multinomial(
+            5000, exact_probabilities(sv) / exact_probabilities(sv).sum())
+        assert h.counts == tuple(int(c) for c in reference)
+
 
 def test_run_and_sample_histogram_invariant():
     h = run_and_sample(bell_circuit(), 1000, 7)
