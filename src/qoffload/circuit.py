@@ -242,7 +242,8 @@ _FIXED_MATRICES = {
 
 def gate_matrix(kind: GateKind, param: float | None = None) -> np.ndarray:
     """Conventional unitary for a gate kind (2x2, or 4x4 in |q1 q0> order
-    with the first target as the high bit for controlled gates)."""
+    with the first target as the high bit for controlled gates). The
+    simulator applies every gate through this matrix and relies on that."""
     if kind in PARAMETRIC_KINDS:
         if param is None:
             raise GateParameterError(f"{kind.value} requires a parameter")

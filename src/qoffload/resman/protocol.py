@@ -53,6 +53,8 @@ def validate_message(msg: dict) -> dict:
     if not isinstance(msg, dict) or "kind" not in msg:
         raise MalformedMessageError("message must be an object with a 'kind' field")
     kind = msg["kind"]
+    if not isinstance(kind, str):
+        raise MalformedMessageError(f"'kind' must be a string, not {kind!r}")
     fields = KNOWN_KINDS.get(kind)
     if fields is None:
         raise UnknownKindError(f"unknown message kind {kind!r}")

@@ -176,6 +176,8 @@ class ResourceManagerServer:
         wait = msg.get("wait", False)
         if not isinstance(wait, bool):
             return protocol.error("BAD_REQUEST", "wait must be a boolean")
+        if not isinstance(msg["qasm"], str):
+            return protocol.error("BAD_REQUEST", "qasm must be a string")
         try:
             circuit = parse_qasm(msg["qasm"])
         except QasmError as exc:

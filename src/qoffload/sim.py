@@ -4,10 +4,15 @@ Evolves the 2^n-amplitude state once, then draws all shots from the final
 probability distribution. Sampling uses numpy's PCG64 generator so a (state,
 shots, seed) triple is reproducible across runs and machines.
 
+One kernel, `apply_gate`, applies every gate kind through its unitary from
+`circuit.gate_matrix`, which alone defines the gate set.
+
 Amplitude index k encodes the basis state with qubit i at bit i of k
 (qubit 0 least-significant), matching the histogram outcome convention.
 """
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
@@ -15,7 +20,6 @@ from .circuit import (
     Circuit,
     DEFAULT_MAX_QUBITS,
     Gate,
-    GateKind,
     Histogram,
     SizeOutOfRangeError,
     gate_matrix,
@@ -43,51 +47,40 @@ def initial_state(num_qubits: int) -> np.ndarray:
 
 
 def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int) -> None:
-    """Apply one gate in place; O(2^n) work via strided amplitude access."""
-    if gate.kind is GateKind.CX:
-        _apply_cx(state, gate.targets[0], gate.targets[1], num_qubits)
-    elif gate.kind is GateKind.CZ:
-        _apply_cz(state, gate.targets[0], gate.targets[1], num_qubits)
-    elif gate.kind is GateKind.SWAP:
-        _apply_swap(state, gate.targets[0], gate.targets[1], num_qubits)
-    else:
-        _apply_single(state, gate_matrix(gate.kind, gate.param),
-                      gate.targets[0], num_qubits)
+    """Apply one gate in place from its `gate_matrix` unitary, in O(2^n).
 
-
-def _apply_single(state: np.ndarray, m: np.ndarray, q: int, n: int) -> None:
-    # View with qubit q isolated on the middle axis: (high bits, q, low bits).
-    view = state.reshape(1 << (n - q - 1), 2, 1 << q)
-    a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :]
-    view[:, 0, :] = m[0, 0] * a0 + m[0, 1] * a1
-    view[:, 1, :] = m[1, 0] * a0 + m[1, 1] * a1
-
-
-def _indices_with_bits(n: int, bits: dict[int, int]) -> np.ndarray:
-    """All amplitude indices whose qubit bits match the given {qubit: value}."""
-    idx = np.arange(1 << n)
-    mask = np.ones(1 << n, dtype=bool)
-    for q, v in bits.items():
-        mask &= ((idx >> q) & 1) == v
-    return idx[mask]
-
-
-def _apply_cx(state: np.ndarray, control: int, target: int, n: int) -> None:
-    i0 = _indices_with_bits(n, {control: 1, target: 0})
-    i1 = i0 | (1 << target)
-    state[i0], state[i1] = state[i1].copy(), state[i0].copy()
-
-
-def _apply_cz(state: np.ndarray, a: int, b: int, n: int) -> None:
-    i11 = _indices_with_bits(n, {a: 1, b: 1})
-    state[i11] *= -1.0
-
-
-def _apply_swap(state: np.ndarray, a: int, b: int, n: int) -> None:
-    i01 = _indices_with_bits(n, {a: 0, b: 1})
-    i10 = (i01 ^ (1 << a)) ^ (1 << b)
-    state[i01], state[i10] = state[i10].copy(), state[i01].copy()
+    The state is viewed with one length-2 axis per target, so block r holds
+    the amplitudes whose target bits spell r (first target high). Only the
+    blocks of non-identity rows are rewritten, from the rows' nonzero
+    entries, and a row with only its diagonal entry scales its block in
+    place: CX and SWAP move two quarter-blocks, CZ negates one, Z/S/T/RZ
+    touch one half.
+    """
+    descending = sorted(gate.targets, reverse=True)
+    shape, rest = [], num_qubits
+    for q in descending:  # (high bits, target, middle bits, target, low bits)
+        shape += (1 << (rest - q - 1), 2)
+        rest = q
+    shape.append(1 << rest)
+    view = state.reshape(shape).transpose(
+        *[2 * descending.index(q) + 1 for q in gate.targets],
+        *range(0, len(shape), 2))
+    blocks = [view[bits] for bits in product((0, 1), repeat=len(descending))]
+    updates = []
+    for r, row in enumerate(gate_matrix(gate.kind, gate.param).tolist()):
+        if row.count(0) == len(row) - 1 and row[r]:
+            if row[r] != 1:  # unitary, so no other row reads block r
+                blocks[r] *= row[r]
+            continue
+        value = None
+        for c, x in enumerate(row):
+            if x and value is None:
+                value = x * blocks[c]
+            elif x:  # in place, so each product is freed before the next
+                value += x * blocks[c]
+        updates.append((r, value))
+    for r, value in updates:  # every value is a fresh array
+        blocks[r][...] = value
 
 
 def run_statevector(circuit: Circuit,

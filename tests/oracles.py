@@ -1,8 +1,10 @@
 """Independent test oracles.
 
 Dense Kronecker-product construction of circuit unitaries and Pauli-sum
-matrices. Deliberately O(4^n) and matrix-based, unlike the strided production
-simulator, so the two paths are independent checks of each other.
+matrices. Deliberately O(4^n) and built from explicit Kronecker products,
+unlike the production simulator's blocked kernel. Both read the gate tables
+of `gate_matrix`, so the two-qubit tables are checked on their own by bit
+arithmetic in `test_sim.py`.
 """
 from __future__ import annotations
 

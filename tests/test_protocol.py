@@ -1,3 +1,4 @@
+import json
 import random
 import string
 import struct
@@ -78,6 +79,15 @@ class TestFraming:
 
     def test_non_object_body(self):
         body = b"[1,2,3]"
+        with pytest.raises(protocol.MalformedMessageError):
+            protocol.decode_frame(struct.pack("!I", len(body)) + body)
+
+    @pytest.mark.parametrize("kind", [[1], {}, 5, None],
+                             ids=["list", "object", "int", "null"])
+    def test_non_string_kind(self, kind):
+        with pytest.raises(protocol.MalformedMessageError, match="must be a string"):
+            protocol.validate_message({"kind": kind})
+        body = json.dumps({"kind": kind}).encode()
         with pytest.raises(protocol.MalformedMessageError):
             protocol.decode_frame(struct.pack("!I", len(body)) + body)
 

@@ -112,6 +112,19 @@ class TestServer:
         assert response["kind"] == "Error"
         assert response["code"] == "BAD_FRAME"
 
+    @pytest.mark.parametrize("body", [b'{"kind":[1]}', b'{"kind":{}}'],
+                             ids=["list-kind", "object-kind"])
+    def test_non_string_kind_answered_bad_frame(self, server, body):
+        import socket
+        import struct
+
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(struct.pack("!I", len(body)) + body)
+            response = protocol.recv_message(sock)
+        assert response["kind"] == "Error"
+        assert response["code"] == "BAD_FRAME"
+        assert "must be a string" in response["message"]
+
     @pytest.mark.parametrize("optimization_pass", [None, _failing_pass],
                              ids=["done", "failed"])
     def test_result_evicted_after_ttl(self, optimization_pass):
@@ -208,8 +221,11 @@ class TestServer:
          "shots": 10, "seed": 0, "wait": 1},
         {"kind": "SubmitJob", "qasm": emit_qasm(bell_circuit()),
          "shots": 10, "seed": 0, "wait": "yes"},
+        {"kind": "SubmitJob", "qasm": 5, "shots": 10, "seed": 0},
+        {"kind": "SubmitJob", "qasm": None, "shots": 10, "seed": 0},
     ], ids=["status-list-id", "fetch-list-id", "status-bool-id",
-            "fetch-bool-id", "bool-shots", "bool-seed", "int-wait", "str-wait"])
+            "fetch-bool-id", "bool-shots", "bool-seed", "int-wait", "str-wait",
+            "int-qasm", "null-qasm"])
     def test_bad_field_type_rejected(self, server, request_msg):
         with ResmanClient(server.address) as client:
             client_submit(server.address, bell_circuit(), 10, 0)  # job 1 exists

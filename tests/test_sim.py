@@ -53,6 +53,69 @@ class TestRunStatevector:
             assert abs(np.vdot(state, state).real - 1.0) < 1e-10
 
 
+def _basis(n, k):
+    state = np.zeros(1 << n, dtype=complex)
+    state[k] = 1.0
+    return state
+
+
+def _bit(k, q):
+    return (k >> q) & 1
+
+
+def _swap_bits(k, a, b):
+    return k ^ ((_bit(k, a) ^ _bit(k, b)) * ((1 << a) | (1 << b)))
+
+
+class TestTwoQubitBitArithmetic:
+    """CX, CZ and SWAP against bit arithmetic on indices: unlike the dense
+    oracle, these checks do not read the gate tables of `gate_matrix`."""
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_basis_states(self, n):
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                for k in range(1 << n):
+                    state = _basis(n, k)
+                    apply_gate(state, Gate(GateKind.CX, (a, b)), n)
+                    assert np.array_equal(state, _basis(n, k ^ (_bit(k, a) << b)))
+                    state = _basis(n, k)
+                    apply_gate(state, Gate(GateKind.SWAP, (a, b)), n)
+                    assert np.array_equal(state, _basis(n, _swap_bits(k, a, b)))
+                    state = _basis(n, k)
+                    apply_gate(state, Gate(GateKind.CZ, (a, b)), n)
+                    sign = -1.0 if _bit(k, a) and _bit(k, b) else 1.0
+                    assert np.array_equal(state, sign * _basis(n, k))
+
+    def test_random_state_12_qubits(self):
+        n = 12
+        rng = np.random.default_rng(12)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        k = np.arange(1 << n)
+        for a, b in [(0, n - 1), (n - 1, 0), (3, 7), (7, 3), (5, 6)]:
+            state = psi.copy()
+            apply_gate(state, Gate(GateKind.CX, (a, b)), n)
+            assert np.array_equal(state, psi[k ^ (_bit(k, a) << b)])
+            state = psi.copy()
+            apply_gate(state, Gate(GateKind.SWAP, (a, b)), n)
+            assert np.array_equal(state, psi[_swap_bits(k, a, b)])
+            state = psi.copy()
+            apply_gate(state, Gate(GateKind.CZ, (a, b)), n)
+            assert np.array_equal(state, np.where(_bit(k, a) & _bit(k, b), -psi, psi))
+        theta = 0.7
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        for q in (0, n - 1):
+            state = psi.copy()
+            apply_gate(state, Gate(GateKind.RY, (q,), theta), n)
+            partner = psi[k ^ (1 << q)]
+            expected = np.where(_bit(k, q), s * partner + c * psi,
+                                c * psi - s * partner)
+            assert np.max(np.abs(state - expected)) < 1e-15
+
+
 class TestExactProbabilities:
     def test_bell(self):
         p = exact_probabilities(run_statevector(bell_circuit()))
@@ -132,11 +195,14 @@ def test_run_and_sample_histogram_invariant():
 
 
 @pytest.mark.slow
-def test_gate_cost_scales_linearly_in_state_size():
-    # One H application should cost ~2x more on n+1 qubits than on n.
+@pytest.mark.parametrize("kind", [GateKind.H, GateKind.CX, GateKind.CZ,
+                                  GateKind.SWAP], ids=lambda kind: kind.value)
+def test_gate_cost_scales_linearly_in_state_size(kind):
+    # One gate application should cost ~2x more on n+1 qubits than on n.
     def best_time(n, reps=7):
         state = initial_state(n)
-        gate = Gate(GateKind.H, (n // 2,))
+        targets = (n // 2,) if kind is GateKind.H else (n // 2, n // 2 - 3)
+        gate = Gate(kind, targets)
         times = []
         for _ in range(reps):
             t0 = time.perf_counter()
