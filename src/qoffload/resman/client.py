@@ -26,6 +26,9 @@ class ResmanClient:
     def __init__(self, endpoint: tuple[str, int], timeout: float = 30.0):
         self.endpoint = tuple(endpoint)
         self._sock = socket.create_connection(self.endpoint, timeout=timeout)
+        # A batch's replies arrive as back-to-back small frames; see the
+        # server's connection handler.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def close(self) -> None:
         try:
@@ -73,6 +76,42 @@ class ResmanClient:
         time arrive: one request, `SubmitJob` with `wait`."""
         return _histogram(self.request(
             protocol.submit_job(qasm, shots, seed, wait=True)))
+
+    def run_batch(self, jobs):
+        """Run (qasm, shots, seed) jobs as one `SubmitBatch` request, and
+        yield each job's outcome, in order, as its reply frame arrives: its
+        histogram and server-side wall time, or the exception that fails it
+        (the `ServerError` of its `Error` frame). A batch whose request would
+        exceed `MAX_FRAME_BYTES` is split into requests that fit, sent one
+        after another; a job too large for a request of its own fails with
+        `OversizedFrameError` and is not sent."""
+        for frame, count in _batch_frames(list(jobs)):
+            if isinstance(frame, protocol.OversizedFrameError):
+                yield frame
+                continue
+            self._sock.sendall(frame)
+            for _ in range(count):
+                response = protocol.recv_message(self._sock)
+                if response is None:
+                    raise ConnectionError("server closed the connection")
+                try:
+                    outcome = _histogram(response)
+                except ServerError as exc:
+                    outcome = exc
+                yield outcome
+
+
+def _batch_frames(jobs: list) -> list:
+    """(frame, job count) pairs of `SubmitBatch` requests that carry `jobs`
+    in order: one request, or halves split until each fits in a frame. A job
+    that does not fit on its own comes as (its `OversizedFrameError`, 1)."""
+    try:
+        return [(protocol.encode_frame(protocol.submit_batch(jobs)), len(jobs))]
+    except protocol.OversizedFrameError as exc:
+        if len(jobs) == 1:
+            return [(exc, 1)]
+    half = len(jobs) // 2
+    return _batch_frames(jobs[:half]) + _batch_frames(jobs[half:])
 
 
 def _histogram(response: dict) -> tuple[Histogram, float]:

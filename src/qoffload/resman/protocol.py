@@ -1,8 +1,9 @@
 """Wire protocol: 4-byte big-endian length prefix + UTF-8 JSON body.
 
 Every message is a JSON object with a "kind" discriminator. Requests:
-Ping, SubmitJob, QueryStatus, FetchResult. Responses: Pong, Accepted,
-Status, Result, Error. See docs/protocol.md for the field-level contract.
+Ping, SubmitJob, SubmitBatch, QueryStatus, FetchResult. Responses: Pong,
+Accepted, Status, Result, Error. See docs/protocol.md for the field-level
+contract.
 """
 from __future__ import annotations
 
@@ -16,6 +17,9 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 REQUEST_KINDS = {
     "Ping": (),
     "SubmitJob": ("qasm", "shots", "seed"),
+    # `jobs` is checked by the server, which answers a missing or malformed
+    # one with BAD_REQUEST and keeps the connection.
+    "SubmitBatch": (),
     "QueryStatus": ("job_id",),
     "FetchResult": ("job_id",),
 }
@@ -142,6 +146,14 @@ def submit_job(qasm: str, shots: int, seed: int, wait: bool = False) -> dict:
     if wait:
         msg["wait"] = True
     return msg
+
+
+def submit_batch(jobs) -> dict:
+    """A SubmitBatch of (qasm, shots, seed) jobs; its reply is one Result or
+    Error frame per job, in order."""
+    return {"kind": "SubmitBatch",
+            "jobs": [{"qasm": qasm, "shots": shots, "seed": seed}
+                     for qasm, shots, seed in jobs]}
 
 
 def query_status(job_id: int) -> dict:

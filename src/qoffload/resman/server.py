@@ -1,12 +1,13 @@
 """Quantum resource-manager service.
 
 Accepts framed JSON requests, parses submitted QASM and queues jobs FIFO onto
-one runtime device worker (one simulated device), whose handles hold the
-results until fetched. A `SubmitJob` with `wait` blocks its connection until
-the job finishes and is answered like a `FetchResult`, so a job costs one
-request instead of submit, status polls and fetch. A configurable one-way
-delay is slept before each request is processed, modelling the link latency
-of a remote (off-premise) device.
+one runtime device worker (one simulated device). A `SubmitJob` without
+`wait` is answered `Accepted`, and its handle holds the result until fetched.
+A waited `SubmitJob`, and each job of a `SubmitBatch`, is answered with its
+`Result` or `Error` frame as soon as it finishes and is not retained, so a
+batch of jobs costs one request instead of submit, status polls and fetch
+per job. A configurable one-way delay is slept before each request is
+processed, modelling the link latency of a remote (off-premise) device.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ import time
 from .. import sim
 from ..circuit import DEFAULT_MAX_QUBITS, Histogram
 from ..qasm import QasmError, parse_qasm
-from ..runtime import Device, DeviceKind, DeviceWorker, Job, JobHandle, JobStatus
+from ..runtime import (Device, DeviceKind, DeviceWorker, Job, JobHandle,
+                       LocalSimulatorBackend)
 from . import protocol
 
 
@@ -27,7 +29,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-class _PassThenSimulate:
+class _PassThenSimulate(LocalSimulatorBackend):
     """The server's device backend: optimization pass, then simulation."""
 
     def __init__(self, optimization_pass):
@@ -114,6 +116,13 @@ class ResourceManagerServer:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         with conn:
+            try:
+                # Replies to a batch go out as back-to-back frames; without
+                # this, Nagle's algorithm holds each small frame until the
+                # client's delayed ACK of the one before.
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError:
+                return
             while not self._shutdown.is_set():
                 try:
                     msg = protocol.recv_message(conn)
@@ -133,22 +142,41 @@ class ResourceManagerServer:
                 if self.latency > 0:
                     time.sleep(self.latency)
                 try:
-                    conn.sendall(self._reply_frame(msg))
+                    for reply in self._handle(msg):
+                        conn.sendall(self._frame(reply))
                 except OSError:
                     return
 
-    def _reply_frame(self, msg: dict) -> bytes:
-        """The framed reply to one request. Only a `Result` grows with the
-        job; one too large for a frame is answered `JOB_FAILED`: the job ran,
-        but its counts cannot be sent."""
+    @staticmethod
+    def _frame(reply: dict) -> bytes:
+        """The frame of one reply. Only a `Result` grows with the job; one
+        too large for a frame is answered `JOB_FAILED`: the job ran, but its
+        counts cannot be sent."""
         try:
-            return protocol.encode_frame(self._handle(msg))
+            return protocol.encode_frame(reply)
         except protocol.OversizedFrameError as exc:
             return protocol.encode_frame(protocol.error(
                 "JOB_FAILED", f"result does not fit in a frame: {exc}"))
 
-    def _handle(self, msg: dict) -> dict:
+    def _handle(self, msg: dict):
+        """The replies to one request, each yielded once it is ready: one
+        reply, or one per job of a `SubmitBatch`, in order."""
         self._evict_fetched()
+        kind = msg["kind"]
+        if kind == "SubmitBatch":
+            jobs = msg.get("jobs")
+            if (not isinstance(jobs, list) or not jobs
+                    or not all(isinstance(job, dict) for job in jobs)):
+                yield protocol.error(
+                    "BAD_REQUEST", "jobs must be a non-empty list of objects")
+            else:
+                yield from self._run_waited(jobs)
+        elif kind == "SubmitJob" and msg.get("wait") is True:
+            yield from self._run_waited([msg])
+        else:
+            yield self._reply(msg)
+
+    def _reply(self, msg: dict) -> dict:
         kind = msg["kind"]
         if kind == "Ping":
             return protocol.pong()
@@ -169,17 +197,42 @@ class ResourceManagerServer:
         return self._handle_fetch(handle)
 
     def _handle_submit(self, msg: dict) -> dict:
-        if not _is_int(msg["shots"]) or msg["shots"] < 1:
-            return protocol.error("BAD_REQUEST", "shots must be a positive integer")
-        if not _is_int(msg["seed"]) or msg["seed"] < 0:
-            return protocol.error("BAD_REQUEST", "seed must be a non-negative integer")
-        wait = msg.get("wait", False)
-        if not isinstance(wait, bool):
+        """A `SubmitJob` without `wait`: the job is retained until fetched."""
+        if not isinstance(msg.get("wait", False), bool):
             return protocol.error("BAD_REQUEST", "wait must be a boolean")
-        if not isinstance(msg["qasm"], str):
+        handle = self._queue(msg)
+        if not isinstance(handle, JobHandle):
+            return handle
+        with self._jobs_lock:
+            self._jobs[handle.job_id] = handle
+        return protocol.accepted(handle.job_id)
+
+    def _run_waited(self, entries: list[dict]):
+        """Queue every job, then yield each one's reply, in order, as it
+        finishes: its `Result`, or the `Error` that rejected or failed it.
+        The jobs are not retained, since no reply names their ids."""
+        queued = [self._queue(entry) for entry in entries]
+        for item in queued:
+            if isinstance(item, JobHandle):
+                item.wait()
+                item = self._finished_reply(item)
+            yield item
+
+    def _queue(self, entry: dict) -> JobHandle | dict:
+        """Check one job's fields, parse its QASM and queue it: the job's
+        handle, or the `Error` reply that rejects it."""
+        missing = [name for name in protocol.REQUEST_KINDS["SubmitJob"]
+                   if name not in entry]
+        if missing:
+            return protocol.error("BAD_REQUEST", f"job missing fields {missing}")
+        if not _is_int(entry["shots"]) or entry["shots"] < 1:
+            return protocol.error("BAD_REQUEST", "shots must be a positive integer")
+        if not _is_int(entry["seed"]) or entry["seed"] < 0:
+            return protocol.error("BAD_REQUEST", "seed must be a non-negative integer")
+        if not isinstance(entry["qasm"], str):
             return protocol.error("BAD_REQUEST", "qasm must be a string")
         try:
-            circuit = parse_qasm(msg["qasm"])
+            circuit = parse_qasm(entry["qasm"])
         except QasmError as exc:
             return protocol.error("PARSE", str(exc))
         if circuit.num_qubits > self.capacity:
@@ -187,30 +240,30 @@ class ResourceManagerServer:
                 "CAPACITY",
                 f"circuit needs {circuit.num_qubits} qubits, capacity is {self.capacity}",
             )
-        job = Job(circuit, msg["shots"], msg["seed"], submitted_at=time.monotonic())
+        job = Job(circuit, entry["shots"], entry["seed"],
+                  submitted_at=time.monotonic())
         handle = JobHandle(next(self._ids), self._worker.device.name)
-        with self._jobs_lock:
-            self._jobs[handle.job_id] = handle
         self._worker.submit(job, handle)
-        if wait:
-            handle.wait()
-            return self._handle_fetch(handle)
-        return protocol.accepted(handle.job_id)
+        return handle
 
     def _handle_fetch(self, handle: JobHandle) -> dict:
-        status = handle.status
-        if status is JobStatus.FAILED:
-            reply = protocol.error("JOB_FAILED", str(handle.error))
-        elif status is JobStatus.DONE:
-            result = handle.result
-            reply = protocol.result(result.histogram.counts, result.histogram.shots,
-                                    result.finished_at - result.started_at)
-        else:
+        """A retained job's reply; once it finished, the reply counts as its
+        fetch."""
+        if not handle.wait(0):
             return protocol.error("NOT_READY",
-                                  f"job {handle.job_id} is {status.value}")
+                                  f"job {handle.job_id} is {handle.status.value}")
         with self._jobs_lock:
             self._fetched_at[handle.job_id] = time.monotonic()
-        return reply
+        return self._finished_reply(handle)
+
+    @staticmethod
+    def _finished_reply(handle: JobHandle) -> dict:
+        """A finished job's `Result`, or its `JOB_FAILED` `Error`."""
+        if handle.error is not None:
+            return protocol.error("JOB_FAILED", str(handle.error))
+        result = handle.result
+        return protocol.result(result.histogram.counts, result.histogram.shots,
+                               result.finished_at - result.started_at)
 
     def _evict_fetched(self) -> None:
         cutoff = time.monotonic() - self.result_ttl

@@ -3,12 +3,17 @@
 Each registered device owns one worker thread draining a FIFO queue, so at
 most one job executes per device and submission order is completion order.
 `submit_sync` is the blocking target-region analogue; `submit_async` returns a
-handle (the `nowait` analogue) that any thread may poll or wait on.
+handle (the `nowait` analogue) that any thread may poll or wait on, so
+`submit_async` calls followed by a wait on each handle are `target nowait`
+regions followed by a `taskwait`.
 
-A remote device's backend holds one persistent resource-manager connection
-and sends each job as one blocking `SubmitJob`, so a job costs one link
-latency leg. The device's worker thread is that connection's only user and
-closes it when the worker stops.
+When a worker wakes, it takes every job already queued as one batch and
+hands it to its backend's `run_batch`, which yields one outcome per job as
+each finishes. The local simulator runs the jobs one by one. A remote
+device's backend holds one persistent resource-manager connection and sends
+the batch as one `SubmitBatch` request, so a batch costs one link latency
+leg however many jobs it carries. The device's worker thread is that
+connection's only user and closes it when the worker stops.
 """
 from __future__ import annotations
 
@@ -147,6 +152,16 @@ class LocalSimulatorBackend:
     def run(self, job: Job) -> Histogram:
         return sim.run_and_sample(job.circuit, job.shots, job.seed)
 
+    def run_batch(self, jobs: list[Job]):
+        """Yield each job's histogram, or the exception that failed it, in
+        order; a job runs only when its outcome is asked for."""
+        for job in jobs:
+            try:
+                outcome = self.run(job)
+            except Exception as exc:
+                outcome = exc
+            yield outcome
+
 
 # Seconds a remote job may take, link legs included, before it fails.
 _REPLY_TIMEOUT = 120.0
@@ -155,14 +170,16 @@ _REPLY_TIMEOUT = 120.0
 class RemoteBackend:
     """Executes jobs over the resource-manager wire protocol.
 
-    One connection, opened on the first job and kept open; each job is one
-    blocking `SubmitJob` on it (`ResmanClient.run`). Only the device's worker
-    thread calls `run` and `close`, so the connection needs no lock. A
-    reused connection that fails before its reply (EOF or `OSError`) is
-    reopened and the job resent once: a job is fully determined by its
-    circuit, shots and seed, so the resend returns the same histogram. A
-    reply that does not arrive within `_REPLY_TIMEOUT` seconds fails the job
-    and closes the connection; the next job opens a new one.
+    One connection, opened on the first batch and kept open; each batch is
+    one `SubmitBatch` request on it (`ResmanClient.run_batch`), answered by
+    one frame per job. Only the device's worker thread calls `run_batch` and
+    `close`, so the connection needs no lock. A reused connection that fails
+    before every reply arrived (EOF, `OSError` or a broken frame) is
+    reopened and the unanswered jobs are resent once: a job is fully
+    determined by its circuit, shots and seed, so the resend returns the
+    same histograms. A reply that does not arrive within `_REPLY_TIMEOUT`
+    seconds fails the unanswered jobs and closes the connection; the next
+    batch opens a new one.
     """
 
     def __init__(self, endpoint: tuple[str, int]):
@@ -170,26 +187,37 @@ class RemoteBackend:
         self._client = None
 
     def run(self, job: Job) -> Histogram:
+        """Run one job, as a batch of one."""
+        (outcome,) = self.run_batch([job])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def run_batch(self, jobs: list[Job]):
+        """Yield each job's histogram, or the exception that failed only it,
+        in order, as its reply arrives; raise when the unanswered jobs
+        cannot be run."""
         # Imported here: the resman client imports this module.
         from .resman.client import ResmanClient
-        from .resman.protocol import TruncatedFrameError
+        from .resman.protocol import ProtocolError
 
-        qasm = emit_qasm(job.circuit)
-        while True:
+        entries = [(emit_qasm(job.circuit), job.shots, job.seed) for job in jobs]
+        answered = 0
+        while answered < len(entries):
             reused = self._client is not None
             if not reused:
                 self._client = ResmanClient(self.endpoint,
                                             timeout=_REPLY_TIMEOUT)
             try:
-                histogram, _server_wall = self._client.run(qasm, job.shots,
-                                                           job.seed)
-                return histogram
+                for outcome in self._client.run_batch(entries[answered:]):
+                    answered += 1
+                    yield outcome if isinstance(outcome, Exception) else outcome[0]
             except TimeoutError as exc:
                 self.close()
                 raise JobFailedError(
                     f"no reply from {self.endpoint} within {_REPLY_TIMEOUT}s"
                 ) from exc
-            except (OSError, TruncatedFrameError):
+            except (OSError, ProtocolError):
                 self.close()
                 if not reused:  # only a reused connection gets a second try
                     raise
@@ -208,8 +236,12 @@ def _default_backend(device: Device):
 
 class DeviceWorker:
     """A device's FIFO queue of (Job, JobHandle) pairs and the thread that
-    runs them on its backend; `stop` ends the thread after the queued jobs
-    and then calls the backend's `close`, if it has one."""
+    runs them on its backend. When the thread wakes, it takes every job
+    already queued as one batch and passes it to the backend's `run_batch`,
+    finishing each handle as that job's outcome arrives. `stop` ends the
+    thread after the queued jobs, a stop found while taking a batch only
+    after that batch has run, and then calls the backend's `close`, if it
+    has one."""
 
     def __init__(self, device: Device, backend):
         self.device = device
@@ -233,23 +265,45 @@ class DeviceWorker:
 
     def _run(self) -> None:
         while True:
-            item = self.jobs.get()
-            if item is None:
+            # Nothing is queued after the stop sentinel: `submit` fails jobs
+            # once `stop` was called.
+            batch = [self.jobs.get()]
+            while batch[-1] is not None:
+                try:
+                    batch.append(self.jobs.get_nowait())
+                except queue.Empty:
+                    break
+            stopping = batch[-1] is None
+            if stopping:
+                batch.pop()
+            if batch:
+                self._run_batch(batch)
+            if stopping:
                 close = getattr(self.backend, "close", None)
                 if close is not None:
                     close()
                 return
-            job, handle = item
+
+    def _run_batch(self, batch: list) -> None:
+        outcomes = self.backend.run_batch([job for job, _ in batch])
+        error = None
+        for job, handle in batch:
             handle._set_running()
             started = time.monotonic()
-            try:
-                histogram = self.backend.run(job)
-            except Exception as exc:
-                handle._fail(exc)
+            if error is None:
+                try:
+                    outcome = next(outcomes)
+                except Exception as exc:
+                    # The backend gave up on the jobs it had not answered.
+                    outcome = error = exc
+            else:
+                outcome = error
+            if isinstance(outcome, Exception):
+                handle._fail(outcome)
                 continue
             finished = time.monotonic()
             handle._finish(JobResult(
-                histogram=histogram,
+                histogram=outcome,
                 wall_time=finished - job.submitted_at,
                 device_name=self.device.name,
                 started_at=started,

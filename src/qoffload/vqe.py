@@ -5,7 +5,10 @@ Pauli-sum expectation estimation and a Nelder-Mead variational loop.
 Shots = 0 selects exact (shot-free) expectation values on the local
 simulator, used for optimizer validation: the ansatz is simulated once per
 parameter vector and every Pauli term is read off that one statevector.
-Sampled mode is the device-faithful path: one basis-rotated job per term.
+Sampled mode is the device-faithful path: one basis-rotated job per term,
+all submitted before any is waited on (`target nowait` regions, then a
+`taskwait`), so a remote device runs an evaluation's jobs as one batch
+request and the evaluation pays one link latency leg.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import sim
 from .circuit import Circuit, create_circuit
-from .runtime import DeviceKind, DeviceRegistry
+from .runtime import DeviceKind, DeviceRegistry, JobFailedError
 
 PAULI_CHARS = frozenset("IXYZ")
 
@@ -218,8 +221,11 @@ def estimate_expectation(hamiltonian: Hamiltonian, spec: AnsatzSpec, theta,
                          seeds: _SeedStream | int = 0) -> float:
     """<H> at the given parameters. Identity terms contribute their
     coefficient analytically. Exact mode simulates the ansatz once and reads
-    every other term off that statevector; sampled mode runs one
-    basis-rotated device job per non-identity term."""
+    every other term off that statevector. Sampled mode submits one
+    basis-rotated device job per non-identity term, drawing seeds in term
+    order, before it waits for any; a failed job raises `JobFailedError`
+    once every job of the evaluation has finished. Terms are summed in term
+    order in both modes."""
     if spec.num_qubits != hamiltonian.num_qubits:
         raise VqeError("ansatz and Hamiltonian qubit counts differ")
     if isinstance(seeds, int):
@@ -236,6 +242,15 @@ def estimate_expectation(hamiltonian: Hamiltonian, spec: AnsatzSpec, theta,
         state = sim.run_statevector(body)
         index = np.arange(state.size)
         parity = _signs(index, state.size - 1)
+    if not exact:
+        # The circuits are built first, so that the jobs are queued together
+        # and a remote device's worker finds them all in one batch.
+        circuits = [basis_change(body, term.operators)
+                    for term in hamiltonian.terms if not term.is_identity]
+        handles = [registry.submit_async(device_name, circuit, shots,
+                                         seeds.next())
+                   for circuit in circuits]
+        waited = iter(handles)
     energy = 0.0
     for term in hamiltonian.terms:
         if term.is_identity:
@@ -245,9 +260,15 @@ def estimate_expectation(hamiltonian: Hamiltonian, spec: AnsatzSpec, theta,
             expectation = _pauli_expectation(state, index, parity,
                                              term.operators)
         else:
-            circuit = basis_change(body, term.operators)
             signs = _parity_signs(spec.num_qubits, term.operators)
-            result = registry.submit_sync(device_name, circuit, shots, seeds.next())
+            try:
+                result = registry.wait(next(waited))
+            except JobFailedError:
+                # As at a `taskwait`, the evaluation ends only once all its
+                # jobs have.
+                for handle in handles:
+                    handle.wait()
+                raise
             counts = np.asarray(result.histogram.counts, dtype=float)
             expectation = float(signs @ counts) / shots
         energy += term.coefficient * expectation

@@ -1,4 +1,3 @@
-import collections
 import gc
 import random
 import socket
@@ -11,13 +10,13 @@ import pytest
 from qoffload import runtime, sim
 from qoffload.circuit import bell_circuit
 from qoffload.qasm import emit_qasm
-from qoffload.resman import (ResmanClient, ResourceManagerServer, ServerError,
-                             client_submit, serve)
+from qoffload.resman import ResmanClient, ServerError, client_submit, serve
 from qoffload.resman import protocol
 from qoffload.runtime import (Device, DeviceKind, DeviceRegistry, JobFailedError,
                               RemoteBackend)
 
 from oracles import random_circuit
+from servers import counting_server
 
 
 def _failing_pass(circuit):
@@ -31,24 +30,19 @@ def server():
     srv.shutdown()
 
 
-def _counting_server(**kwargs):
-    """A started server that counts the requests it handles, by kind, and
-    the connections it accepts, under "connections"."""
-    srv = ResourceManagerServer(**kwargs)
-    counts = collections.Counter()
-    handle, serve_connection = srv._handle, srv._serve_connection
+def _held_server():
+    """A counting server whose first job waits in its optimization pass
+    until `release` is set; `entered` is set once it waits."""
+    entered, release = threading.Event(), threading.Event()
 
-    def counted_handle(msg):
-        counts[msg["kind"]] += 1
-        return handle(msg)
+    def hold_first(circuit):
+        if not entered.is_set():
+            entered.set()
+            assert release.wait(timeout=30)
+        return circuit
 
-    def counted_connection(conn):
-        counts["connections"] += 1
-        serve_connection(conn)
-
-    srv._handle = counted_handle
-    srv._serve_connection = counted_connection
-    return srv.start(), counts
+    srv, counts = counting_server(optimization_pass=hold_first)
+    return srv, counts, entered, release
 
 
 class TestServer:
@@ -147,8 +141,8 @@ class TestServer:
 
     @pytest.mark.parametrize("optimization_pass", [None, _failing_pass],
                              ids=["done", "failed"])
-    def test_waited_result_evicted_after_ttl(self, optimization_pass):
-        srv = serve(result_ttl=0.05, optimization_pass=optimization_pass)
+    def test_waited_result_not_retained(self, optimization_pass):
+        srv = serve(optimization_pass=optimization_pass)
         try:
             with ResmanClient(srv.address) as client:
                 reply = client.request(protocol.submit_job(
@@ -160,11 +154,11 @@ class TestServer:
                     assert reply["kind"] == "Error"
                     assert reply["code"] == "JOB_FAILED"
                     assert "pass rejected the circuit" in reply["message"]
-                time.sleep(0.1)
-                client.ping()  # triggers the eviction sweep
+                # No reply named the job, so nothing of it is kept.
                 with pytest.raises(ServerError) as exc:
                     client.fetch(1)
                 assert exc.value.code == "UNKNOWN_JOB"
+            assert srv._jobs == {} and srv._fetched_at == {}
         finally:
             srv.shutdown()
 
@@ -234,6 +228,62 @@ class TestServer:
             assert response["code"] == "BAD_REQUEST"
             client.ping()  # the connection survives
 
+    @pytest.mark.parametrize("request_msg", [
+        {"kind": "SubmitBatch"},
+        {"kind": "SubmitBatch", "jobs": None},
+        {"kind": "SubmitBatch", "jobs": {"qasm": emit_qasm(bell_circuit()),
+                                         "shots": 10, "seed": 0}},
+        {"kind": "SubmitBatch", "jobs": []},
+        {"kind": "SubmitBatch", "jobs": [
+            {"qasm": emit_qasm(bell_circuit()), "shots": 10, "seed": 0}, 5]},
+        {"kind": "SubmitBatch", "jobs": [[emit_qasm(bell_circuit()), 10, 0]]},
+    ], ids=["missing-jobs", "null-jobs", "object-jobs", "empty-jobs",
+            "int-entry", "list-entry"])
+    def test_malformed_batch_rejected_once(self, server, request_msg):
+        with ResmanClient(server.address) as client:
+            response = client.request(request_msg)
+            assert response["kind"] == "Error"
+            assert response["code"] == "BAD_REQUEST"
+            client.ping()  # the connection survives, with no reply left over
+
+    @pytest.mark.parametrize("entry, code", [
+        ({"shots": 10, "seed": 0}, "BAD_REQUEST"),
+        ({"qasm": emit_qasm(bell_circuit()), "seed": 0}, "BAD_REQUEST"),
+        ({"qasm": emit_qasm(bell_circuit()), "shots": 10}, "BAD_REQUEST"),
+        ({"qasm": emit_qasm(bell_circuit()), "shots": True, "seed": 0},
+         "BAD_REQUEST"),
+        ({"qasm": emit_qasm(bell_circuit()), "shots": 10, "seed": False},
+         "BAD_REQUEST"),
+        ({"qasm": 5, "shots": 10, "seed": 0}, "BAD_REQUEST"),
+        ({"qasm": "OPENQASM 2.0;\nqreg q[2;\n", "shots": 10, "seed": 0},
+         "PARSE"),
+        ({"qasm": emit_qasm(random_circuit(random.Random(1), 3, 4)),
+          "shots": 10, "seed": 0}, "CAPACITY"),
+    ], ids=["missing-qasm", "missing-shots", "missing-seed", "bool-shots",
+            "bool-seed", "int-qasm", "parse", "capacity"])
+    def test_bad_batch_entry_fails_only_its_job(self, entry, code):
+        rng = random.Random(707)
+        siblings = [(random_circuit(rng, 2, 8), 100 + i, rng.randrange(2 ** 32))
+                    for i in range(2)]
+        jobs = [{"qasm": emit_qasm(circuit), "shots": shots, "seed": seed}
+                for circuit, shots, seed in siblings]
+        srv = serve(capacity=2)
+        try:
+            with socket.create_connection(srv.address, timeout=10) as sock:
+                protocol.send_message(sock, {"kind": "SubmitBatch",
+                                             "jobs": [jobs[0], entry, jobs[1]]})
+                replies = [protocol.recv_message(sock) for _ in range(3)]
+                protocol.send_message(sock, protocol.ping())
+                assert protocol.recv_message(sock) == protocol.pong()
+        finally:
+            srv.shutdown()
+        assert replies[1]["kind"] == "Error"
+        assert replies[1]["code"] == code
+        for (circuit, shots, seed), reply in zip(siblings, replies[::2]):
+            assert reply["kind"] == "Result"
+            local = sim.run_and_sample(circuit, shots, seed)
+            assert reply["counts"] == list(local.counts)
+
     def test_optimization_pass_hook_runs(self):
         seen = []
 
@@ -263,8 +313,8 @@ class TestClientRun:
 
 
 class TestRemoteBackend:
-    def test_one_request_per_job_over_one_connection(self):
-        srv, counts = _counting_server()
+    def test_jobs_carried_over_one_connection(self):
+        srv, counts = counting_server()
         registry = DeviceRegistry()
         try:
             registry.register(Device("qpu", DeviceKind.REMOTE,
@@ -278,8 +328,74 @@ class TestRemoteBackend:
             for (circuit, shots, seed), result in zip(jobs, results):
                 assert result.histogram == sim.run_and_sample(circuit, shots,
                                                               seed)
-            assert counts == {"SubmitJob": 8, "connections": 1}
+            # The 4 synchronous jobs go one request each; the 4 asynchronous
+            # ones go in 1 to 4 requests, as the worker finds them queued.
+            assert 5 <= counts["SubmitBatch"] <= 8
+            assert counts == {"SubmitBatch": counts["SubmitBatch"], "jobs": 8,
+                              "connections": 1}
         finally:
+            registry.shutdown()
+            srv.shutdown()
+
+    def test_jobs_queued_behind_a_running_job_go_in_one_request(self):
+        srv, counts, entered, release = _held_server()
+        registry = DeviceRegistry()
+        try:
+            registry.register(Device("qpu", DeviceKind.REMOTE,
+                                     endpoint=srv.address))
+            rng = random.Random(606)
+            jobs = [(random_circuit(rng, 3, 10), 200, rng.randrange(2 ** 32))
+                    for _ in range(5)]
+            handles = [registry.submit_async("qpu", *jobs[0])]
+            assert entered.wait(timeout=30)
+            handles += [registry.submit_async("qpu", *job) for job in jobs[1:]]
+            release.set()
+            for (circuit, shots, seed), handle in zip(jobs, handles):
+                result = registry.wait(handle, timeout=30)
+                assert result.histogram == sim.run_and_sample(circuit, shots,
+                                                              seed)
+            assert counts == {"SubmitBatch": 2, "jobs": 5, "connections": 1}
+        finally:
+            release.set()
+            registry.shutdown()
+            srv.shutdown()
+
+    def test_batch_too_large_for_a_frame_is_split(self, monkeypatch):
+        rng = random.Random(808)
+        jobs = [(random_circuit(rng, 3, 6), 100, rng.randrange(2 ** 32))
+                for _ in range(6)]
+        huge = random_circuit(rng, 3, 200)
+        single = len(protocol.encode_frame(protocol.submit_batch(
+            [(emit_qasm(jobs[0][0]), 100, 0)])))
+        # Room for about two jobs a request, and none for the huge one.
+        limit = 2 * single + 200
+        assert len(emit_qasm(huge)) > limit
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", limit)
+        srv, counts, entered, release = _held_server()
+        registry = DeviceRegistry()
+        try:
+            registry.register(Device("qpu", DeviceKind.REMOTE,
+                                     endpoint=srv.address))
+            first = registry.submit_async("qpu", bell_circuit(), 10, 0)
+            assert entered.wait(timeout=30)
+            # The 7 jobs queue behind the held one, and go as one batch.
+            handles = [registry.submit_async("qpu", *job) for job in jobs[:3]]
+            handles.append(registry.submit_async("qpu", huge, 100, 1))
+            handles += [registry.submit_async("qpu", *job) for job in jobs[3:]]
+            release.set()
+            registry.wait(first, timeout=30)
+            with pytest.raises(JobFailedError, match="exceeds limit"):
+                registry.wait(handles.pop(3), timeout=30)
+            for (circuit, shots, seed), handle in zip(jobs, handles):
+                result = registry.wait(handle, timeout=30)
+                assert result.histogram == sim.run_and_sample(circuit, shots,
+                                                              seed)
+            # The huge job is never sent; the others need 3 or more requests.
+            assert counts["jobs"] == 1 + len(jobs)
+            assert counts["SubmitBatch"] >= 1 + 3
+            assert counts["connections"] == 1
+        finally:
+            release.set()
             registry.shutdown()
             srv.shutdown()
 
@@ -297,7 +413,7 @@ class TestRemoteBackend:
             srv.shutdown()
 
     def test_registry_shutdown_closes_connection(self):
-        srv, counts = _counting_server()
+        srv, counts = counting_server()
         gc.collect()
         try:
             with warnings.catch_warnings(record=True) as caught:
@@ -319,7 +435,7 @@ class TestRemoteBackend:
         assert counts["connections"] == 1
 
     def test_reconnects_after_connection_lost(self):
-        srv, counts = _counting_server()
+        srv, counts = counting_server()
         backend = RemoteBackend(srv.address)
         registry = DeviceRegistry()
         try:
@@ -336,7 +452,7 @@ class TestRemoteBackend:
             srv.shutdown()
 
     def test_reply_timeout_fails_job_then_reconnects(self, monkeypatch):
-        srv, counts = _counting_server(latency=0.3)
+        srv, counts = counting_server(latency=0.3)
         backend = RemoteBackend(srv.address)
         monkeypatch.setattr(runtime, "_REPLY_TIMEOUT", 0.1)
         registry = DeviceRegistry()
@@ -358,7 +474,7 @@ class TestRemoteBackend:
     def test_oversized_result_fails_job_once(self, monkeypatch):
         # 10 qubits give 1024 counts, a Result frame of over 2 kB.
         monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 2000)
-        srv, counts = _counting_server()
+        srv, counts = counting_server()
         registry = DeviceRegistry()
         try:
             registry.register(Device("qpu", DeviceKind.REMOTE,
@@ -370,7 +486,7 @@ class TestRemoteBackend:
             # connection serves the next job.
             result = registry.submit_sync("qpu", bell_circuit(), 10, 0)
             assert result.histogram == sim.run_and_sample(bell_circuit(), 10, 0)
-            assert counts == {"SubmitJob": 2, "connections": 1}
+            assert counts == {"SubmitBatch": 2, "jobs": 2, "connections": 1}
         finally:
             registry.shutdown()
             srv.shutdown()

@@ -3,6 +3,7 @@ import threading
 
 import pytest
 
+from qoffload import sim
 from qoffload.circuit import bell_circuit, create_circuit
 from qoffload.runtime import (
     CapacityExceededError,
@@ -12,6 +13,7 @@ from qoffload.runtime import (
     DuplicateDeviceError,
     JobFailedError,
     JobStatus,
+    LocalSimulatorBackend,
     UnknownDeviceError,
 )
 
@@ -153,3 +155,83 @@ class TestSubmitAsync:
         with pytest.raises(JobFailedError):
             registry.wait(handle)
         assert registry.poll(handle) is JobStatus.FAILED
+
+
+class _GatedBackend(LocalSimulatorBackend):
+    """Records the size of each batch; the first batch waits for `release`
+    once it has set `entered`."""
+
+    def __init__(self):
+        self.entered, self.release = threading.Event(), threading.Event()
+        self.batches = []
+        self.closed = False
+
+    def run_batch(self, jobs):
+        self.batches.append(len(jobs))
+        if len(self.batches) == 1:
+            self.entered.set()
+            assert self.release.wait(timeout=30)
+        yield from super().run_batch(jobs)
+
+    def close(self):
+        self.closed = True
+
+
+class _BrokenAfterOne(_GatedBackend):
+    """Gated as its base; from the second batch on, it answers the first job
+    and then gives up on the rest."""
+
+    def run_batch(self, jobs):
+        outcomes = super().run_batch(jobs)
+        yield next(outcomes)
+        if len(self.batches) > 1:
+            raise ConnectionError("link lost")
+        yield from outcomes
+
+
+class TestBatches:
+    def test_worker_takes_queued_jobs_as_one_batch_then_stops(self):
+        backend = _GatedBackend()
+        registry = DeviceRegistry()
+        registry.register(Device("gated", DeviceKind.LOCAL_SIMULATOR), backend)
+        worker = registry._workers["gated"]
+        rng = random.Random(12)
+        jobs = [(random_circuit(rng, 3, 8), 100, rng.randrange(2 ** 32))
+                for _ in range(5)]
+        try:
+            handles = [registry.submit_async("gated", *jobs[0])]
+            assert backend.entered.wait(timeout=30)
+            handles += [registry.submit_async("gated", *job) for job in jobs[1:]]
+        finally:
+            # The stop is queued behind the 4 jobs and taken with them.
+            registry.shutdown()
+            backend.release.set()
+        worker.thread.join(timeout=30)
+        assert not worker.thread.is_alive()
+        assert backend.batches == [1, 4] and backend.closed
+        for (circuit, shots, seed), handle in zip(jobs, handles):
+            assert handle.status is JobStatus.DONE
+            assert handle.result.histogram == sim.run_and_sample(circuit, shots,
+                                                                 seed)
+
+    def test_backend_giving_up_fails_only_unanswered_jobs(self):
+        backend = _BrokenAfterOne()
+        registry = DeviceRegistry()
+        registry.register(Device("broken", DeviceKind.LOCAL_SIMULATOR), backend)
+        try:
+            handles = [registry.submit_async("broken", bell_circuit(), 10, 0)]
+            assert backend.entered.wait(timeout=30)
+            handles += [registry.submit_async("broken", bell_circuit(), 10, i)
+                        for i in (1, 2, 3)]
+            backend.release.set()
+            for seed, handle in enumerate(handles[:2]):
+                result = registry.wait(handle, timeout=30)
+                assert result.histogram == sim.run_and_sample(bell_circuit(),
+                                                              10, seed)
+            for handle in handles[2:]:
+                with pytest.raises(JobFailedError, match="link lost"):
+                    registry.wait(handle, timeout=30)
+            assert backend.batches == [1, 3]
+        finally:
+            backend.release.set()
+            registry.shutdown()

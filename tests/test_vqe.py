@@ -1,17 +1,21 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from qoffload import sim, vqe
-from qoffload.circuit import GateKind
+from qoffload.circuit import GateKind, bell_circuit
+from qoffload.resman import serve
+from qoffload.runtime import Device, DeviceKind, DeviceRegistry, JobStatus
 from qoffload.vqe import (
     AnsatzSpec,
     Hamiltonian,
     PauliTerm,
     VqeConfig,
     VqeError,
+    VqeAbortedError,
     VqeReport,
     _parity_signs,
     _pauli_expectation,
@@ -28,6 +32,7 @@ from oracles import (
     pauli_string_matrix,
     random_circuit,
 )
+from servers import counting_server
 
 H2MIN_TERMS = [(-1.0, "ZZ"), (0.5, "XI"), (0.5, "IX")]
 H2MIN = Hamiltonian.from_terms(H2MIN_TERMS)
@@ -352,3 +357,145 @@ class TestOptimize:
         config = VqeConfig(initial_theta=[0.1], shots=0)
         with pytest.raises(VqeError):
             optimize(H2MIN, AnsatzSpec(2, 2), config)
+
+
+def _per_term_energy(hamiltonian, spec, theta, shots, registry, device_name,
+                     seeds=0):
+    """Reference route for sampled mode: one `submit_sync` per non-identity
+    term, each waited for before the next is submitted, seeds drawn and
+    terms summed in term order."""
+    if isinstance(seeds, int):
+        seeds = vqe._SeedStream(seeds)
+    body = build_ansatz_body(spec, theta)
+    energy = 0.0
+    for term in hamiltonian.terms:
+        if term.is_identity:
+            energy += term.coefficient
+            continue
+        signs = _parity_signs(spec.num_qubits, term.operators)
+        result = registry.submit_sync(device_name,
+                                      basis_change(body, term.operators),
+                                      shots, seeds.next())
+        counts = np.asarray(result.histogram.counts, dtype=float)
+        expectation = float(signs @ counts) / shots
+        energy += term.coefficient * expectation
+    return energy
+
+
+def _random_hamiltonian(rng, n, count):
+    ops = {"I" * n}
+    while len(ops) < count:
+        ops.add("".join(rng.choice("IXYZ") for _ in range(n)))
+    return Hamiltonian.from_terms(
+        [(rng.uniform(-1, 1), op) for op in sorted(ops)])
+
+
+@pytest.fixture
+def remote_registry():
+    """A registry with a remote device "qpu" on a counting server and a
+    local device "sim0"; yields (registry, server, counts)."""
+    srv, counts = counting_server()
+    registry = DeviceRegistry()
+    registry.register(Device("qpu", DeviceKind.REMOTE, endpoint=srv.address))
+    registry.register(Device("sim0", DeviceKind.LOCAL_SIMULATOR))
+    yield registry, srv, counts
+    registry.shutdown()
+    srv.shutdown()
+
+
+class TestSampledRemote:
+    def test_one_request_per_evaluation(self, remote_registry):
+        registry, _, counts = remote_registry
+        rng = random.Random(2718)
+        for n in (4, 6):
+            for _ in range(3):
+                h = _random_hamiltonian(rng, n, 6)
+                spec = AnsatzSpec(n, 2)
+                theta = [rng.uniform(-3, 3) for _ in range(spec.num_parameters)]
+                seed = rng.randrange(2 ** 31)
+                before = counts.copy()
+                energy = estimate_expectation(h, spec, theta, 256, registry,
+                                              "qpu", seed)
+                sent = counts - before
+                sent.pop("connections", None)
+                assert sent == Counter({"SubmitBatch": 1, "jobs": 5})
+                reference = _per_term_energy(h, spec, theta, 256, registry,
+                                             "sim0", seed)
+                assert energy.hex() == reference.hex()
+        assert counts["connections"] == 1
+
+    def test_optimize_trace_equals_per_term_route(self, remote_registry,
+                                                  monkeypatch):
+        registry, _, _ = remote_registry
+        h = _random_hamiltonian(random.Random(31), 4, 6)
+        spec = AnsatzSpec(4, 2)
+        config = VqeConfig(initial_theta=[0.3] * 8, max_iterations=6,
+                           tolerance=0.0, shots=512, seed=11,
+                           device_name="qpu")
+        batched = optimize(h, spec, config, registry)
+        monkeypatch.setattr(vqe, "estimate_expectation", _per_term_energy)
+        config.device_name = "sim0"
+        reference = optimize(h, spec, config, registry)
+        assert ([e.hex() for e in batched.energy_trace]
+                == [e.hex() for e in reference.energy_trace])
+
+    def test_failing_term_fails_only_its_job(self, monkeypatch):
+        def reject_xi(circuit):
+            # H2MIN's "XI" term is the only circuit that ends in H on qubit 1.
+            last = circuit.gates[-1]
+            if last.kind is GateKind.H and last.targets == (1,):
+                raise ValueError("term rejected")
+            return circuit
+
+        srv = serve(optimization_pass=reject_xi)
+        registry = DeviceRegistry()
+        handles = []
+        submit_async = registry.submit_async
+
+        def recording_submit(*args):
+            handles.append(submit_async(*args))
+            return handles[-1]
+
+        monkeypatch.setattr(registry, "submit_async", recording_submit)
+        try:
+            registry.register(Device("qpu", DeviceKind.REMOTE,
+                                     endpoint=srv.address))
+            config = VqeConfig(initial_theta=[0.1] * 4, max_iterations=5,
+                               shots=64, seed=3, device_name="qpu")
+            with pytest.raises(VqeAbortedError, match="term rejected") as exc:
+                optimize(H2MIN, AnsatzSpec(2, 2), config, registry)
+            assert exc.value.energy_trace == []
+            # Every job of the evaluation has finished; no handle waits.
+            assert [h.status for h in handles] == [
+                JobStatus.DONE, JobStatus.FAILED, JobStatus.DONE]
+        finally:
+            registry.shutdown()
+            srv.shutdown()
+
+    def test_connection_cut_mid_batch_resends_unanswered_jobs(
+            self, remote_registry):
+        registry, srv, counts = remote_registry
+        handle = srv._handle
+        cut = []
+
+        def cut_after_first_reply(msg):
+            replies = handle(msg)
+            if msg["kind"] == "SubmitBatch" and len(msg["jobs"]) > 1 and not cut:
+                cut.append(msg)
+                yield next(replies)
+                raise OSError("connection cut")  # the server closes it
+            yield from replies
+
+        srv._handle = cut_after_first_reply
+        # One job opens the connection, so that the batch reuses it.
+        registry.submit_sync("qpu", bell_circuit(), 10, 0)
+        spec = AnsatzSpec(2, 2)
+        theta = [0.4, -0.2, 1.1, 0.7]
+        energy = estimate_expectation(H2MIN, spec, theta, 1024, registry,
+                                      "qpu", 5)
+        assert len(cut) == 1
+        assert counts == {"SubmitBatch": 3, "jobs": 1 + 3 + 2,
+                          "connections": 2}
+        reference = _per_term_energy(H2MIN, spec, theta, 1024, registry,
+                                     "sim0", 5)
+        assert energy.hex() == reference.hex()
