@@ -43,7 +43,12 @@ class ResmanClient:
         self.close()
 
     def request(self, msg: dict) -> dict:
+        """Send one request and return its reply, or the first of its
+        replies for a `SubmitJob` with `jobs`."""
         protocol.send_message(self._sock, msg)
+        return self._receive()
+
+    def _receive(self) -> dict:
         response = protocol.recv_message(self._sock)
         if response is None:
             raise ConnectionError("server closed the connection")
@@ -78,22 +83,29 @@ class ResmanClient:
             protocol.submit_job(qasm, shots, seed, wait=True)))
 
     def run_batch(self, jobs):
-        """Run (qasm, shots, seed) jobs as one `SubmitBatch` request, and
-        yield each job's outcome, in order, as its reply frame arrives: its
-        histogram and server-side wall time, or the exception that fails it
-        (the `ServerError` of its `Error` frame). A batch whose request would
-        exceed `MAX_FRAME_BYTES` is split into requests that fit, sent one
-        after another; a job too large for a request of its own fails with
+        """Run (qasm, shots, seed) jobs as one `SubmitJob` request with
+        `jobs`, and yield each job's outcome, in order, as its reply frame
+        arrives: its histogram and server-side wall time, or the exception
+        that fails it (the `ServerError` of its `Error` frame). An `Error`
+        that answers the whole request (`BAD_BATCH`, or `BAD_FRAME` from a
+        server that does not take `jobs`) is the last frame of that request
+        and fails every job it carries. A batch whose request would exceed
+        `MAX_FRAME_BYTES` is split into requests that fit, sent one after
+        another; a job too large for a request of its own fails with
         `OversizedFrameError` and is not sent."""
-        for frame, count in _batch_frames(list(jobs)):
-            if isinstance(frame, protocol.OversizedFrameError):
-                yield frame
+        for msg, count in _batch_requests(list(jobs)):
+            if isinstance(msg, protocol.OversizedFrameError):
+                yield msg
                 continue
-            self._sock.sendall(frame)
-            for _ in range(count):
-                response = protocol.recv_message(self._sock)
-                if response is None:
-                    raise ConnectionError("server closed the connection")
+            response = self.request(msg)
+            if response["kind"] == "Error" and response["code"] in _WHOLE_REQUEST:
+                error = ServerError(response["code"], response["message"])
+                for _ in range(count):
+                    yield error
+                continue
+            for index in range(count):
+                if index:
+                    response = self._receive()
                 try:
                     outcome = _histogram(response)
                 except ServerError as exc:
@@ -101,17 +113,34 @@ class ResmanClient:
                 yield outcome
 
 
-def _batch_frames(jobs: list) -> list:
-    """(frame, job count) pairs of `SubmitBatch` requests that carry `jobs`
+# Error codes that answer a whole request, however many jobs it carries.
+_WHOLE_REQUEST = ("BAD_BATCH", "BAD_FRAME")
+
+
+def _batch_requests(jobs: list) -> list:
+    """(request, job count) pairs of `SubmitJob` requests that carry `jobs`
     in order: one request, or halves split until each fits in a frame. A job
     that does not fit on its own comes as (its `OversizedFrameError`, 1)."""
+    msg = protocol.submit_batch(jobs)
+    if _body_bound(jobs) <= protocol.MAX_FRAME_BYTES:
+        return [(msg, len(jobs))]
     try:
-        return [(protocol.encode_frame(protocol.submit_batch(jobs)), len(jobs))]
+        protocol.encode_frame(msg)  # encoded again when it is sent
+        return [(msg, len(jobs))]
     except protocol.OversizedFrameError as exc:
         if len(jobs) == 1:
             return [(exc, 1)]
     half = len(jobs) // 2
-    return _batch_frames(jobs[:half]) + _batch_frames(jobs[half:])
+    return _batch_requests(jobs[:half]) + _batch_requests(jobs[half:])
+
+
+def _body_bound(jobs: list) -> int:
+    """An upper bound on the body size of the request carrying `jobs`,
+    found without encoding it: JSON writes a character of QASM as at most
+    12 bytes (a surrogate pair of escapes), and each job adds its three
+    field names, its numbers and punctuation, under 40 bytes besides."""
+    return 40 + sum(12 * len(qasm) + 40 + len(str(shots)) + len(str(seed))
+                    for qasm, shots, seed in jobs)
 
 
 def _histogram(response: dict) -> tuple[Histogram, float]:

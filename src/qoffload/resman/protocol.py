@@ -1,9 +1,8 @@
 """Wire protocol: 4-byte big-endian length prefix + UTF-8 JSON body.
 
 Every message is a JSON object with a "kind" discriminator. Requests:
-Ping, SubmitJob, SubmitBatch, QueryStatus, FetchResult. Responses: Pong,
-Accepted, Status, Result, Error. See docs/protocol.md for the field-level
-contract.
+Ping, SubmitJob, QueryStatus, FetchResult. Responses: Pong, Accepted,
+Status, Result, Error. See docs/protocol.md for the field-level contract.
 """
 from __future__ import annotations
 
@@ -17,9 +16,6 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 REQUEST_KINDS = {
     "Ping": (),
     "SubmitJob": ("qasm", "shots", "seed"),
-    # `jobs` is checked by the server, which answers a missing or malformed
-    # one with BAD_REQUEST and keeps the connection.
-    "SubmitBatch": (),
     "QueryStatus": ("job_id",),
     "FetchResult": ("job_id",),
 }
@@ -62,6 +58,10 @@ def validate_message(msg: dict) -> dict:
     fields = KNOWN_KINDS.get(kind)
     if fields is None:
         raise UnknownKindError(f"unknown message kind {kind!r}")
+    if kind == "SubmitJob" and "jobs" in msg:
+        # Several jobs: `jobs` and its entries are checked by the server,
+        # which answers a fault with an Error and keeps the connection.
+        fields = ()
     missing = [f for f in fields if f not in msg]
     if missing:
         raise MalformedMessageError(f"{kind} message missing fields {missing}")
@@ -149,9 +149,9 @@ def submit_job(qasm: str, shots: int, seed: int, wait: bool = False) -> dict:
 
 
 def submit_batch(jobs) -> dict:
-    """A SubmitBatch of (qasm, shots, seed) jobs; its reply is one Result or
-    Error frame per job, in order."""
-    return {"kind": "SubmitBatch",
+    """A SubmitJob carrying several (qasm, shots, seed) jobs in `jobs`; its
+    reply is one Result or Error frame per job, in order."""
+    return {"kind": "SubmitJob",
             "jobs": [{"qasm": qasm, "shots": shots, "seed": seed}
                      for qasm, shots, seed in jobs]}
 

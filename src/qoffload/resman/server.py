@@ -3,11 +3,13 @@
 Accepts framed JSON requests, parses submitted QASM and queues jobs FIFO onto
 one runtime device worker (one simulated device). A `SubmitJob` without
 `wait` is answered `Accepted`, and its handle holds the result until fetched.
-A waited `SubmitJob`, and each job of a `SubmitBatch`, is answered with its
-`Result` or `Error` frame as soon as it finishes and is not retained, so a
-batch of jobs costs one request instead of submit, status polls and fetch
-per job. A configurable one-way delay is slept before each request is
-processed, modelling the link latency of a remote (off-premise) device.
+A waited `SubmitJob` is answered with its `Result` or `Error` frame as soon
+as it finishes and is not retained. A `SubmitJob` carrying several jobs in
+`jobs` has each of them queued and answered as a waited `SubmitJob`, one
+frame per job, so a batch of jobs costs one request instead of submit,
+status polls and fetch per job. A configurable one-way delay is slept
+before each request is processed, modelling the link latency of a remote
+(off-premise) device.
 """
 from __future__ import annotations
 
@@ -22,6 +24,10 @@ from ..qasm import QasmError, parse_qasm
 from ..runtime import (Device, DeviceKind, DeviceWorker, Job, JobHandle,
                        LocalSimulatorBackend)
 from . import protocol
+
+
+# The fields of one job, as a `SubmitJob` carries them.
+_JOB_FIELDS = protocol.REQUEST_KINDS["SubmitJob"]
 
 
 def _is_int(value) -> bool:
@@ -142,7 +148,7 @@ class ResourceManagerServer:
                 if self.latency > 0:
                     time.sleep(self.latency)
                 try:
-                    for reply in self._handle(msg):
+                    for reply in self._replies(msg):
                         conn.sendall(self._frame(reply))
                 except OSError:
                     return
@@ -158,25 +164,31 @@ class ResourceManagerServer:
             return protocol.encode_frame(protocol.error(
                 "JOB_FAILED", f"result does not fit in a frame: {exc}"))
 
-    def _handle(self, msg: dict):
-        """The replies to one request, each yielded once it is ready: one
-        reply, or one per job of a `SubmitBatch`, in order."""
+    def _replies(self, msg: dict):
+        """The replies to one request, each produced after the one before
+        was sent: one per entry of a `SubmitJob` with `jobs`, or one
+        `BAD_BATCH` for a malformed batch; one for any other request."""
         self._evict_fetched()
-        kind = msg["kind"]
-        if kind == "SubmitBatch":
-            jobs = msg.get("jobs")
-            if (not isinstance(jobs, list) or not jobs
-                    or not all(isinstance(job, dict) for job in jobs)):
-                yield protocol.error(
-                    "BAD_REQUEST", "jobs must be a non-empty list of objects")
-            else:
-                yield from self._run_waited(jobs)
-        elif kind == "SubmitJob" and msg.get("wait") is True:
-            yield from self._run_waited([msg])
+        if msg["kind"] != "SubmitJob" or "jobs" not in msg:
+            yield self._handle(msg)
+            return
+        jobs = msg["jobs"]
+        if (not isinstance(jobs, list) or not jobs
+                or not all(isinstance(entry, dict) for entry in jobs)):
+            yield protocol.error(
+                "BAD_BATCH", "jobs must be a non-empty list of objects")
+        elif any(name in msg for name in (*_JOB_FIELDS, "wait")):
+            yield protocol.error(
+                "BAD_BATCH", "a SubmitJob with jobs carries no qasm, shots, "
+                "seed or wait of its own")
         else:
-            yield self._reply(msg)
+            # Every entry is queued before the first is answered, so the
+            # device runs them back to back while replies are sent.
+            for item in [self._queue(entry) for entry in jobs]:
+                yield self._answer(item) if isinstance(item, JobHandle) else item
 
-    def _reply(self, msg: dict) -> dict:
+    def _handle(self, msg: dict) -> dict:
+        """The reply to one request that carries at most one job."""
         kind = msg["kind"]
         if kind == "Ping":
             return protocol.pong()
@@ -197,32 +209,25 @@ class ResourceManagerServer:
         return self._handle_fetch(handle)
 
     def _handle_submit(self, msg: dict) -> dict:
-        """A `SubmitJob` without `wait`: the job is retained until fetched."""
-        if not isinstance(msg.get("wait", False), bool):
+        """Queue one job. Without `wait`, the job is retained until fetched
+        and answered `Accepted`; with it, the job is answered as an entry of
+        `jobs` is."""
+        wait = msg.get("wait", False)
+        if not isinstance(wait, bool):
             return protocol.error("BAD_REQUEST", "wait must be a boolean")
         handle = self._queue(msg)
         if not isinstance(handle, JobHandle):
             return handle
+        if wait:
+            return self._answer(handle)
         with self._jobs_lock:
             self._jobs[handle.job_id] = handle
         return protocol.accepted(handle.job_id)
 
-    def _run_waited(self, entries: list[dict]):
-        """Queue every job, then yield each one's reply, in order, as it
-        finishes: its `Result`, or the `Error` that rejected or failed it.
-        The jobs are not retained, since no reply names their ids."""
-        queued = [self._queue(entry) for entry in entries]
-        for item in queued:
-            if isinstance(item, JobHandle):
-                item.wait()
-                item = self._finished_reply(item)
-            yield item
-
     def _queue(self, entry: dict) -> JobHandle | dict:
         """Check one job's fields, parse its QASM and queue it: the job's
         handle, or the `Error` reply that rejects it."""
-        missing = [name for name in protocol.REQUEST_KINDS["SubmitJob"]
-                   if name not in entry]
+        missing = [name for name in _JOB_FIELDS if name not in entry]
         if missing:
             return protocol.error("BAD_REQUEST", f"job missing fields {missing}")
         if not _is_int(entry["shots"]) or entry["shots"] < 1:
@@ -245,6 +250,12 @@ class ResourceManagerServer:
         handle = JobHandle(next(self._ids), self._worker.device.name)
         self._worker.submit(job, handle)
         return handle
+
+    def _answer(self, handle: JobHandle) -> dict:
+        """A waited job's reply once it finished. The job is not retained,
+        since no reply names its id."""
+        handle.wait()
+        return self._finished_reply(handle)
 
     def _handle_fetch(self, handle: JobHandle) -> dict:
         """A retained job's reply; once it finished, the reply counts as its

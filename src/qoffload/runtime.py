@@ -8,12 +8,13 @@ handle (the `nowait` analogue) that any thread may poll or wait on, so
 regions followed by a `taskwait`.
 
 When a worker wakes, it takes every job already queued as one batch and
-hands it to its backend's `run_batch`, which yields one outcome per job as
-each finishes. The local simulator runs the jobs one by one. A remote
-device's backend holds one persistent resource-manager connection and sends
-the batch as one `SubmitBatch` request, so a batch costs one link latency
-leg however many jobs it carries. The device's worker thread is that
-connection's only user and closes it when the worker stops.
+hands it to its backend's `run_batch`, which runs the jobs one by one with
+the backend's `run` and yields one outcome per job as each finishes. A
+remote device's backend holds one persistent resource-manager connection
+and sends the batch as one `SubmitJob` request carrying every job, so a
+batch costs one link latency leg however many jobs it carries. The device's
+worker thread is that connection's only user and closes it when the worker
+stops.
 """
 from __future__ import annotations
 
@@ -146,15 +147,12 @@ class JobHandle:
         self._done.set()
 
 
-class LocalSimulatorBackend:
-    """In-process statevector execution."""
-
-    def run(self, job: Job) -> Histogram:
-        return sim.run_and_sample(job.circuit, job.shots, job.seed)
+class Backend:
+    """Runs a device's jobs; a subclass defines `run(job) -> Histogram`."""
 
     def run_batch(self, jobs: list[Job]):
-        """Yield each job's histogram, or the exception that failed it, in
-        order; a job runs only when its outcome is asked for."""
+        """Yield each job's histogram from `run`, or the exception that
+        failed it, in order; a job runs only when its outcome is asked for."""
         for job in jobs:
             try:
                 outcome = self.run(job)
@@ -163,64 +161,92 @@ class LocalSimulatorBackend:
             yield outcome
 
 
+class LocalSimulatorBackend(Backend):
+    """In-process statevector execution."""
+
+    def run(self, job: Job) -> Histogram:
+        return sim.run_and_sample(job.circuit, job.shots, job.seed)
+
+
 # Seconds a remote job may take, link legs included, before it fails.
 _REPLY_TIMEOUT = 120.0
 
 
-class RemoteBackend:
+class RemoteBackend(Backend):
     """Executes jobs over the resource-manager wire protocol.
 
-    One connection, opened on the first batch and kept open; each batch is
-    one `SubmitBatch` request on it (`ResmanClient.run_batch`), answered by
-    one frame per job. Only the device's worker thread calls `run_batch` and
-    `close`, so the connection needs no lock. A reused connection that fails
-    before every reply arrived (EOF, `OSError` or a broken frame) is
-    reopened and the unanswered jobs are resent once: a job is fully
-    determined by its circuit, shots and seed, so the resend returns the
-    same histograms. A reply that does not arrive within `_REPLY_TIMEOUT`
-    seconds fails the unanswered jobs and closes the connection; the next
-    batch opens a new one.
+    One connection, opened on the first job and kept open. `run_batch` runs
+    its jobs one by one through `run`, as the local simulator does, but the
+    first `run` of a batch sends every job of the batch as one `SubmitJob`
+    request (`ResmanClient.run_batch`), answered by one frame per job, and
+    each `run` then reads its own job's reply. Only the device's worker
+    thread calls `run`, `run_batch` and `close`, so the connection needs no
+    lock. A reused connection that fails before every reply arrived (EOF,
+    `OSError` or a broken frame) is reopened and the unanswered jobs are
+    resent once: a job is fully determined by its circuit, shots and seed,
+    so the resend returns the same histograms. A reply that does not arrive
+    within `_REPLY_TIMEOUT` seconds fails the unanswered jobs and closes the
+    connection; the next batch opens a new one.
     """
 
     def __init__(self, endpoint: tuple[str, int]):
         self.endpoint = endpoint
         self._client = None
+        # Outcomes of the current batch's jobs, read by `run` in order.
+        self._outcomes = None
 
     def run(self, job: Job) -> Histogram:
-        """Run one job, as a batch of one."""
-        (outcome,) = self.run_batch([job])
+        """Run one job; inside `run_batch`, the next job of the batch."""
+        outcomes = self._outcomes
+        if outcomes is None:
+            outcomes = self._request([job])
+        outcome = next(outcomes)
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
 
     def run_batch(self, jobs: list[Job]):
-        """Yield each job's histogram, or the exception that failed only it,
-        in order, as its reply arrives; raise when the unanswered jobs
-        cannot be run."""
+        """As `Backend.run_batch`; the jobs go out as one request when the
+        first of them runs."""
+        self._outcomes = self._request(jobs)
+        try:
+            yield from super().run_batch(jobs)
+        finally:
+            self._outcomes = None
+
+    def _request(self, jobs: list[Job]):
+        """Send `jobs` as one request and yield each one's histogram, or
+        the exception that fails it, in order, as its reply arrives. Once
+        the unanswered jobs cannot be run, each of them gets the error."""
         # Imported here: the resman client imports this module.
         from .resman.client import ResmanClient
         from .resman.protocol import ProtocolError
 
         entries = [(emit_qasm(job.circuit), job.shots, job.seed) for job in jobs]
         answered = 0
-        while answered < len(entries):
-            reused = self._client is not None
-            if not reused:
-                self._client = ResmanClient(self.endpoint,
-                                            timeout=_REPLY_TIMEOUT)
-            try:
-                for outcome in self._client.run_batch(entries[answered:]):
-                    answered += 1
-                    yield outcome if isinstance(outcome, Exception) else outcome[0]
-            except TimeoutError as exc:
-                self.close()
-                raise JobFailedError(
-                    f"no reply from {self.endpoint} within {_REPLY_TIMEOUT}s"
-                ) from exc
-            except (OSError, ProtocolError):
-                self.close()
-                if not reused:  # only a reused connection gets a second try
-                    raise
+        try:
+            while answered < len(entries):
+                reused = self._client is not None
+                if not reused:
+                    self._client = ResmanClient(self.endpoint,
+                                                timeout=_REPLY_TIMEOUT)
+                try:
+                    for outcome in self._client.run_batch(entries[answered:]):
+                        answered += 1
+                        yield (outcome if isinstance(outcome, Exception)
+                               else outcome[0])
+                except TimeoutError as exc:
+                    self.close()
+                    raise JobFailedError(
+                        f"no reply from {self.endpoint} within {_REPLY_TIMEOUT}s"
+                    ) from exc
+                except (OSError, ProtocolError):
+                    self.close()
+                    if not reused:  # only a reused connection gets a second try
+                        raise
+        except Exception as exc:
+            for _ in range(answered, len(entries)):
+                yield exc
 
     def close(self) -> None:
         if self._client is not None:

@@ -5,23 +5,23 @@ from qoffload.resman import ResourceManagerServer
 
 
 def counting_server(**kwargs):
-    """A started server that counts the requests it handles, by kind, the
-    jobs its `SubmitBatch` requests carry, under "jobs", and the connections
-    it accepts, under "connections"."""
+    """A started server that counts the requests it is sent, by kind, the
+    jobs that `SubmitJob` requests carry in `jobs`, under "jobs", and the
+    connections it accepts, under "connections"."""
     srv = ResourceManagerServer(**kwargs)
     counts = collections.Counter()
-    handle, serve_connection = srv._handle, srv._serve_connection
+    replies, serve_connection = srv._replies, srv._serve_connection
 
-    def counted_handle(msg):
+    def counted_replies(msg):
         counts[msg["kind"]] += 1
-        if msg["kind"] == "SubmitBatch" and isinstance(msg.get("jobs"), list):
+        if msg["kind"] == "SubmitJob" and isinstance(msg.get("jobs"), list):
             counts["jobs"] += len(msg["jobs"])
-        return handle(msg)
+        return replies(msg)
 
     def counted_connection(conn):
         counts["connections"] += 1
         serve_connection(conn)
 
-    srv._handle = counted_handle
+    srv._replies = counted_replies
     srv._serve_connection = counted_connection
     return srv.start(), counts

@@ -229,22 +229,44 @@ class TestServer:
             client.ping()  # the connection survives
 
     @pytest.mark.parametrize("request_msg", [
-        {"kind": "SubmitBatch"},
-        {"kind": "SubmitBatch", "jobs": None},
-        {"kind": "SubmitBatch", "jobs": {"qasm": emit_qasm(bell_circuit()),
-                                         "shots": 10, "seed": 0}},
-        {"kind": "SubmitBatch", "jobs": []},
-        {"kind": "SubmitBatch", "jobs": [
+        {"kind": "SubmitJob", "jobs": None},
+        {"kind": "SubmitJob", "jobs": {"qasm": emit_qasm(bell_circuit()),
+                                       "shots": 10, "seed": 0}},
+        {"kind": "SubmitJob", "jobs": []},
+        {"kind": "SubmitJob", "jobs": [
             {"qasm": emit_qasm(bell_circuit()), "shots": 10, "seed": 0}, 5]},
-        {"kind": "SubmitBatch", "jobs": [[emit_qasm(bell_circuit()), 10, 0]]},
-    ], ids=["missing-jobs", "null-jobs", "object-jobs", "empty-jobs",
-            "int-entry", "list-entry"])
+        {"kind": "SubmitJob", "jobs": [[emit_qasm(bell_circuit()), 10, 0]]},
+        {"kind": "SubmitJob", "qasm": emit_qasm(bell_circuit()), "jobs": [
+            {"qasm": emit_qasm(bell_circuit()), "shots": 10, "seed": 0}]},
+        {"kind": "SubmitJob", "wait": False, "jobs": [
+            {"qasm": emit_qasm(bell_circuit()), "shots": 10, "seed": 0}]},
+    ], ids=["null-jobs", "object-jobs", "empty-jobs", "int-entry",
+            "list-entry", "jobs-and-qasm", "jobs-and-wait"])
     def test_malformed_batch_rejected_once(self, server, request_msg):
         with ResmanClient(server.address) as client:
             response = client.request(request_msg)
             assert response["kind"] == "Error"
-            assert response["code"] == "BAD_REQUEST"
+            assert response["code"] == "BAD_BATCH"
             client.ping()  # the connection survives, with no reply left over
+        assert server._jobs == {}  # no job of the batch ran
+
+    def test_batch_answered_as_a_whole_fails_every_job(self):
+        # A server that sends BAD_BATCH for the whole request, and then no
+        # frame for its jobs: the client reads no further frame, so the
+        # ping after it is answered at once.
+        srv = serve()
+        srv._replies = lambda msg: iter([
+            protocol.error("BAD_BATCH", "refused") if "jobs" in msg
+            else protocol.pong()])
+        try:
+            with ResmanClient(srv.address, timeout=5) as client:
+                jobs = [(emit_qasm(bell_circuit()), 10, seed) for seed in range(3)]
+                outcomes = list(client.run_batch(jobs))
+                assert [type(o) for o in outcomes] == [ServerError] * 3
+                assert {o.code for o in outcomes} == {"BAD_BATCH"}
+                client.ping()
+        finally:
+            srv.shutdown()
 
     @pytest.mark.parametrize("entry, code", [
         ({"shots": 10, "seed": 0}, "BAD_REQUEST"),
@@ -270,7 +292,7 @@ class TestServer:
         srv = serve(capacity=2)
         try:
             with socket.create_connection(srv.address, timeout=10) as sock:
-                protocol.send_message(sock, {"kind": "SubmitBatch",
+                protocol.send_message(sock, {"kind": "SubmitJob",
                                              "jobs": [jobs[0], entry, jobs[1]]})
                 replies = [protocol.recv_message(sock) for _ in range(3)]
                 protocol.send_message(sock, protocol.ping())
@@ -330,8 +352,8 @@ class TestRemoteBackend:
                                                               seed)
             # The 4 synchronous jobs go one request each; the 4 asynchronous
             # ones go in 1 to 4 requests, as the worker finds them queued.
-            assert 5 <= counts["SubmitBatch"] <= 8
-            assert counts == {"SubmitBatch": counts["SubmitBatch"], "jobs": 8,
+            assert 5 <= counts["SubmitJob"] <= 8
+            assert counts == {"SubmitJob": counts["SubmitJob"], "jobs": 8,
                               "connections": 1}
         finally:
             registry.shutdown()
@@ -354,7 +376,7 @@ class TestRemoteBackend:
                 result = registry.wait(handle, timeout=30)
                 assert result.histogram == sim.run_and_sample(circuit, shots,
                                                               seed)
-            assert counts == {"SubmitBatch": 2, "jobs": 5, "connections": 1}
+            assert counts == {"SubmitJob": 2, "jobs": 5, "connections": 1}
         finally:
             release.set()
             registry.shutdown()
@@ -392,7 +414,7 @@ class TestRemoteBackend:
                                                               seed)
             # The huge job is never sent; the others need 3 or more requests.
             assert counts["jobs"] == 1 + len(jobs)
-            assert counts["SubmitBatch"] >= 1 + 3
+            assert counts["SubmitJob"] >= 1 + 3
             assert counts["connections"] == 1
         finally:
             release.set()
@@ -486,7 +508,7 @@ class TestRemoteBackend:
             # connection serves the next job.
             result = registry.submit_sync("qpu", bell_circuit(), 10, 0)
             assert result.histogram == sim.run_and_sample(bell_circuit(), 10, 0)
-            assert counts == {"SubmitBatch": 2, "jobs": 2, "connections": 1}
+            assert counts == {"SubmitJob": 2, "jobs": 2, "connections": 1}
         finally:
             registry.shutdown()
             srv.shutdown()

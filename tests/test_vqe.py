@@ -418,7 +418,7 @@ class TestSampledRemote:
                                               "qpu", seed)
                 sent = counts - before
                 sent.pop("connections", None)
-                assert sent == Counter({"SubmitBatch": 1, "jobs": 5})
+                assert sent == Counter({"SubmitJob": 1, "jobs": 5})
                 reference = _per_term_energy(h, spec, theta, 256, registry,
                                              "sim0", seed)
                 assert energy.hex() == reference.hex()
@@ -475,18 +475,18 @@ class TestSampledRemote:
     def test_connection_cut_mid_batch_resends_unanswered_jobs(
             self, remote_registry):
         registry, srv, counts = remote_registry
-        handle = srv._handle
+        replies_to = srv._replies
         cut = []
 
         def cut_after_first_reply(msg):
-            replies = handle(msg)
-            if msg["kind"] == "SubmitBatch" and len(msg["jobs"]) > 1 and not cut:
+            replies = replies_to(msg)
+            if len(msg.get("jobs", ())) > 1 and not cut:
                 cut.append(msg)
                 yield next(replies)
                 raise OSError("connection cut")  # the server closes it
             yield from replies
 
-        srv._handle = cut_after_first_reply
+        srv._replies = cut_after_first_reply
         # One job opens the connection, so that the batch reuses it.
         registry.submit_sync("qpu", bell_circuit(), 10, 0)
         spec = AnsatzSpec(2, 2)
@@ -494,7 +494,7 @@ class TestSampledRemote:
         energy = estimate_expectation(H2MIN, spec, theta, 1024, registry,
                                       "qpu", 5)
         assert len(cut) == 1
-        assert counts == {"SubmitBatch": 3, "jobs": 1 + 3 + 2,
+        assert counts == {"SubmitJob": 3, "jobs": 1 + 3 + 2,
                           "connections": 2}
         reference = _per_term_energy(H2MIN, spec, theta, 1024, registry,
                                      "sim0", 5)
