@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
+from operator import lt
 
 import numpy as np
 
@@ -187,28 +189,86 @@ def create_circuit(num_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> Cir
     return Circuit(num_qubits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Histogram:
-    """Shot counts indexed by outcome integer; length 2^num_qubits."""
+    """Shot counts of a measured register, held as its nonzero entries.
 
-    counts: tuple[int, ...]
+    `outcomes` holds, in increasing order, the outcome integers measured at
+    least once, and `outcome_counts` how often each was; at most `shots`
+    entries, however large the register. `counts` is the dense view, a
+    tuple of 2^num_qubits Python ints indexed by outcome, built on first
+    access. `Histogram(counts, shots)` builds a histogram from dense counts,
+    `Histogram.from_outcomes` from the nonzero entries; histograms of the
+    same counts are equal however they were built.
+    """
+
+    num_qubits: int
+    outcomes: tuple[int, ...]
+    outcome_counts: tuple[int, ...]
     shots: int
+    _counts: tuple[int, ...] | None = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        n = len(self.counts)
+    def __init__(self, counts, shots: int):
+        counts = tuple(counts)
+        n = len(counts)
         if n < 2 or n & (n - 1):
             raise ValueError(f"counts length must be a power of two >= 2, got {n}")
-        if min(self.counts) < 0:
+        if min(counts) < 0:
             raise ValueError("negative count")
-        if self.shots < 1:
+        if shots < 1:
             raise ValueError("shots must be >= 1")
-        total = sum(self.counts)
-        if total != self.shots:
-            raise ValueError(f"counts sum {total} != shots {self.shots}")
+        total = sum(counts)
+        if total != shots:
+            raise ValueError(f"counts sum {total} != shots {shots}")
+        # Fields are set through `__dict__`, past the frozen `__setattr__`.
+        self.__dict__.update(
+            num_qubits=n.bit_length() - 1,
+            outcomes=tuple(compress(range(n), counts)),
+            outcome_counts=tuple(filter(None, counts)), shots=shots,
+            _counts=counts)
+
+    @classmethod
+    def from_outcomes(cls, num_qubits: int, outcomes, counts,
+                      shots: int) -> "Histogram":
+        """The histogram whose nonzero entries are `counts[i]` shots of
+        `outcomes[i]`: Python ints, outcomes strictly increasing and in
+        [0, 2^num_qubits), counts positive and summing to `shots`."""
+        outcomes, counts = tuple(outcomes), tuple(counts)
+        if type(num_qubits) is not int or num_qubits < 1:
+            raise ValueError(f"num_qubits must be a positive integer, got {num_qubits!r}")
+        if type(shots) is not int or shots < 1:
+            raise ValueError(f"shots must be a positive integer, got {shots!r}")
+        if len(outcomes) != len(counts):
+            raise ValueError(f"{len(outcomes)} outcomes but {len(counts)} counts")
+        # `type(x) is int` rejects bools; a set of types is built in C.
+        if not {*map(type, outcomes), *map(type, counts)} <= {int}:
+            raise ValueError("outcomes and counts must be integers")
+        if not all(map(lt, outcomes, outcomes[1:])):
+            raise ValueError("outcomes must be strictly increasing")
+        if outcomes and (outcomes[0] < 0
+                         or outcomes[-1].bit_length() > num_qubits):
+            raise ValueError(f"outcome out of range for {num_qubits} qubits")
+        if counts and min(counts) < 1:
+            raise ValueError("counts must be positive")
+        total = sum(counts)
+        if total != shots:
+            raise ValueError(f"counts sum {total} != shots {shots}")
+        histogram = cls.__new__(cls)
+        histogram.__dict__.update(num_qubits=num_qubits, outcomes=outcomes,
+                                  outcome_counts=counts, shots=shots,
+                                  _counts=None)
+        return histogram
 
     @property
-    def num_qubits(self) -> int:
-        return len(self.counts).bit_length() - 1
+    def counts(self) -> tuple[int, ...]:
+        """The dense view. Threads that build it at once store equal
+        tuples, so the view needs no lock."""
+        if self._counts is None:
+            dense = [0] * (1 << self.num_qubits)
+            for outcome, count in zip(self.outcomes, self.outcome_counts):
+                dense[outcome] = count
+            self.__dict__["_counts"] = tuple(dense)
+        return self._counts
 
     def to_dict(self) -> dict:
         return {"counts": list(self.counts), "shots": self.shots}

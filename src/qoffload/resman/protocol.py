@@ -2,7 +2,9 @@
 
 Every message is a JSON object with a "kind" discriminator. Requests:
 Ping, SubmitJob, QueryStatus, FetchResult. Responses: Pong, Accepted,
-Status, Result, Error. See docs/protocol.md for the field-level contract.
+Status, Result, Error. A Result is dense (all 2^n counts) or sparse (the
+nonzero outcomes and their counts). See docs/protocol.md for the
+field-level contract.
 """
 from __future__ import annotations
 
@@ -140,20 +142,28 @@ def pong() -> dict:
     return {"kind": "Pong"}
 
 
-def submit_job(qasm: str, shots: int, seed: int, wait: bool = False) -> dict:
-    """A SubmitJob; with wait the reply is the job's Result or Error."""
+def submit_job(qasm: str, shots: int, seed: int, wait: bool = False,
+               sparse: bool = False) -> dict:
+    """A SubmitJob; with wait the reply is the job's Result or Error, and
+    with sparse (which needs wait) that Result is sparse."""
     msg = {"kind": "SubmitJob", "qasm": qasm, "shots": shots, "seed": seed}
     if wait:
         msg["wait"] = True
+    if sparse:
+        msg["sparse"] = True
     return msg
 
 
-def submit_batch(jobs) -> dict:
+def submit_batch(jobs, sparse: bool = False) -> dict:
     """A SubmitJob carrying several (qasm, shots, seed) jobs in `jobs`; its
-    reply is one Result or Error frame per job, in order."""
-    return {"kind": "SubmitJob",
-            "jobs": [{"qasm": qasm, "shots": shots, "seed": seed}
-                     for qasm, shots, seed in jobs]}
+    reply is one Result or Error frame per job, in order, each Result
+    sparse with sparse."""
+    msg = {"kind": "SubmitJob",
+           "jobs": [{"qasm": qasm, "shots": shots, "seed": seed}
+                    for qasm, shots, seed in jobs]}
+    if sparse:
+        msg["sparse"] = True
+    return msg
 
 
 def query_status(job_id: int) -> dict:
@@ -173,7 +183,16 @@ def status(value: str) -> dict:
 
 
 def result(counts: list[int], shots: int, server_wall_time: float) -> dict:
+    """A dense Result: all 2^n counts, indexed by outcome."""
     return {"kind": "Result", "counts": counts, "shots": shots,
+            "server_wall_time": server_wall_time}
+
+
+def sparse_result(histogram, server_wall_time: float) -> dict:
+    """A sparse Result: a `circuit.Histogram`'s nonzero entries only."""
+    return {"kind": "Result", "outcomes": histogram.outcomes,
+            "counts": histogram.outcome_counts,
+            "num_qubits": histogram.num_qubits, "shots": histogram.shots,
             "server_wall_time": server_wall_time}
 
 

@@ -7,7 +7,10 @@ A waited `SubmitJob` is answered with its `Result` or `Error` frame as soon
 as it finishes and is not retained. A `SubmitJob` carrying several jobs in
 `jobs` has each of them queued and answered as a waited `SubmitJob`, one
 frame per job, so a batch of jobs costs one request instead of submit,
-status polls and fetch per job. A configurable one-way delay is slept
+status polls and fetch per job. A waited or batch `SubmitJob` that carries
+`"sparse": true` is answered with sparse `Result` frames, which hold only a
+histogram's nonzero (outcome, count) pairs, at most `shots` of them, where
+a dense one holds all 2^n counts. A configurable one-way delay is slept
 before each request is processed, modelling the link latency of a remote
 (off-premise) device.
 """
@@ -42,11 +45,8 @@ class _PassThenSimulate(LocalSimulatorBackend):
         self.optimization_pass = optimization_pass
 
     def run(self, job: Job) -> Histogram:
-        histogram = sim.run_and_sample(self.optimization_pass(job.circuit),
-                                       job.shots, job.seed)
-        # Retained counts get a fresh exact-size copy, allocated after the
-        # simulation's arrays are freed, so they do not hold the heap high.
-        return Histogram(tuple(iter(histogram.counts)), histogram.shots)
+        return sim.run_and_sample(self.optimization_pass(job.circuit),
+                                  job.shots, job.seed)
 
 
 class ResourceManagerServer:
@@ -172,7 +172,7 @@ class ResourceManagerServer:
         if msg["kind"] != "SubmitJob" or "jobs" not in msg:
             yield self._handle(msg)
             return
-        jobs = msg["jobs"]
+        jobs, sparse = msg["jobs"], msg.get("sparse", False)
         if (not isinstance(jobs, list) or not jobs
                 or not all(isinstance(entry, dict) for entry in jobs)):
             yield protocol.error(
@@ -181,11 +181,14 @@ class ResourceManagerServer:
             yield protocol.error(
                 "BAD_BATCH", "a SubmitJob with jobs carries no qasm, shots, "
                 "seed or wait of its own")
+        elif not isinstance(sparse, bool):
+            yield protocol.error("BAD_BATCH", "sparse must be a boolean")
         else:
             # Every entry is queued before the first is answered, so the
             # device runs them back to back while replies are sent.
             for item in [self._queue(entry) for entry in jobs]:
-                yield self._answer(item) if isinstance(item, JobHandle) else item
+                yield (self._answer(item, sparse)
+                       if isinstance(item, JobHandle) else item)
 
     def _handle(self, msg: dict) -> dict:
         """The reply to one request that carries at most one job."""
@@ -211,15 +214,20 @@ class ResourceManagerServer:
     def _handle_submit(self, msg: dict) -> dict:
         """Queue one job. Without `wait`, the job is retained until fetched
         and answered `Accepted`; with it, the job is answered as an entry of
-        `jobs` is."""
-        wait = msg.get("wait", False)
+        `jobs` is, and `sparse` asks for the sparse `Result`."""
+        wait, sparse = msg.get("wait", False), msg.get("sparse", False)
         if not isinstance(wait, bool):
             return protocol.error("BAD_REQUEST", "wait must be a boolean")
+        if not isinstance(sparse, bool):
+            return protocol.error("BAD_REQUEST", "sparse must be a boolean")
+        if sparse and not wait:
+            return protocol.error("BAD_REQUEST",
+                                  "sparse needs wait: a fetched Result is dense")
         handle = self._queue(msg)
         if not isinstance(handle, JobHandle):
             return handle
         if wait:
-            return self._answer(handle)
+            return self._answer(handle, sparse)
         with self._jobs_lock:
             self._jobs[handle.job_id] = handle
         return protocol.accepted(handle.job_id)
@@ -251,11 +259,11 @@ class ResourceManagerServer:
         self._worker.submit(job, handle)
         return handle
 
-    def _answer(self, handle: JobHandle) -> dict:
+    def _answer(self, handle: JobHandle, sparse: bool) -> dict:
         """A waited job's reply once it finished. The job is not retained,
         since no reply names its id."""
         handle.wait()
-        return self._finished_reply(handle)
+        return self._finished_reply(handle, sparse)
 
     def _handle_fetch(self, handle: JobHandle) -> dict:
         """A retained job's reply; once it finished, the reply counts as its
@@ -265,16 +273,20 @@ class ResourceManagerServer:
                                   f"job {handle.job_id} is {handle.status.value}")
         with self._jobs_lock:
             self._fetched_at[handle.job_id] = time.monotonic()
-        return self._finished_reply(handle)
+        return self._finished_reply(handle, sparse=False)
 
     @staticmethod
-    def _finished_reply(handle: JobHandle) -> dict:
-        """A finished job's `Result`, or its `JOB_FAILED` `Error`."""
+    def _finished_reply(handle: JobHandle, sparse: bool) -> dict:
+        """A finished job's `Result`, sparse or dense, or its `JOB_FAILED`
+        `Error`."""
         if handle.error is not None:
             return protocol.error("JOB_FAILED", str(handle.error))
         result = handle.result
+        wall = result.finished_at - result.started_at
+        if sparse:
+            return protocol.sparse_result(result.histogram, wall)
         return protocol.result(result.histogram.counts, result.histogram.shots,
-                               result.finished_at - result.started_at)
+                               wall)
 
     def _evict_fetched(self) -> None:
         cutoff = time.monotonic() - self.result_ttl

@@ -185,8 +185,11 @@ class RemoteBackend(Backend):
     `OSError` or a broken frame) is reopened and the unanswered jobs are
     resent once: a job is fully determined by its circuit, shots and seed,
     so the resend returns the same histograms. A reply that does not arrive
-    within `_REPLY_TIMEOUT` seconds fails the unanswered jobs and closes the
-    connection; the next batch opens a new one.
+    within `_REPLY_TIMEOUT` seconds, or any other failure that is not
+    retried, fails the unanswered jobs and closes the connection, so no
+    unread reply of the batch answers a later job; the next batch opens a
+    new one. An `Error` frame, or a `Result` that is not a valid histogram,
+    fails only its own job. Results are asked for in the sparse form.
     """
 
     def __init__(self, endpoint: tuple[str, int]):
@@ -245,6 +248,7 @@ class RemoteBackend(Backend):
                     if not reused:  # only a reused connection gets a second try
                         raise
         except Exception as exc:
+            self.close()  # unread frames of this batch must not answer the next
             for _ in range(answered, len(entries)):
                 yield exc
 

@@ -104,10 +104,15 @@ def sample(state: np.ndarray, shots: int, seed: int) -> Histogram:
     """Draw a shot histogram from the measurement distribution of the state.
 
     Deterministic in (state, shots, seed). Outcomes with probability below
-    ZERO_PROB_CUTOFF receive exactly zero counts.
+    ZERO_PROB_CUTOFF receive exactly zero counts. The histogram is built
+    from the draw's nonzero entries, at most `shots` of them, so no
+    2^n-entry Python object is made.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    num_qubits = state.size.bit_length() - 1
+    if num_qubits < 1 or state.size != 1 << num_qubits:
+        raise ValueError(f"state length must be a power of two >= 2, got {state.size}")
     p = exact_probabilities(state)
     total = p.sum()
     if abs(total - 1.0) > NORM_TOLERANCE:
@@ -116,7 +121,9 @@ def sample(state: np.ndarray, shots: int, seed: int) -> Histogram:
     p /= p.sum()
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, p)
-    return Histogram(tuple(counts.tolist()), shots)
+    outcomes = np.flatnonzero(counts)
+    return Histogram.from_outcomes(num_qubits, outcomes.tolist(),
+                                   counts[outcomes].tolist(), shots)
 
 
 def run_and_sample(circuit: Circuit, shots: int, seed: int) -> Histogram:

@@ -269,8 +269,12 @@ def estimate_expectation(hamiltonian: Hamiltonian, spec: AnsatzSpec, theta,
                 for handle in handles:
                     handle.wait()
                 raise
-            counts = np.asarray(result.histogram.counts, dtype=float)
-            expectation = float(signs @ counts) / shots
+            histogram = result.histogram
+            # Each partial sum is an integer of at most `shots`, so exact
+            # in any order: the dense sum's value, bit for bit.
+            expectation = float(
+                signs[np.asarray(histogram.outcomes)]
+                @ np.asarray(histogram.outcome_counts, dtype=float)) / shots
         energy += term.coefficient * expectation
     return energy
 

@@ -149,6 +149,63 @@ class TestHistogram:
         with pytest.raises(ValueError, match="negative count"):
             Histogram((-1, 2), 1)
 
+    def test_holds_nonzero_entries(self):
+        h = Histogram((0, 3, 0, 0, 5, 0, 0, 2), 10)
+        assert (h.num_qubits, h.shots) == (3, 10)
+        assert h.outcomes == (1, 4, 7)
+        assert h.outcome_counts == (3, 5, 2)
+
+    def test_built_either_way_equal(self):
+        rng = random.Random(12)
+        for num_qubits in (1, 3, 6):
+            dense = [0] * (1 << num_qubits)
+            for _ in range(40):
+                dense[rng.randrange(len(dense))] += 1
+            outcomes = [k for k, c in enumerate(dense) if c]
+            sparse = Histogram.from_outcomes(num_qubits, outcomes,
+                                             [dense[k] for k in outcomes], 40)
+            assert sparse == Histogram(tuple(dense), 40)
+            assert hash(sparse) == hash(Histogram(tuple(dense), 40))
+            assert sparse.counts == Histogram(tuple(dense), 40).counts
+            assert sparse.counts == tuple(dense)
+            assert all(type(c) is int for c in sparse.counts)
+        assert (Histogram.from_outcomes(2, [0], [5], 5)
+                != Histogram.from_outcomes(3, [0], [5], 5))
+
+    def test_immutable(self):
+        h = Histogram.from_outcomes(2, [0, 3], [1, 1], 2)
+        with pytest.raises(AttributeError):
+            h.shots = 3
+        assert h.counts == (1, 0, 0, 1)  # the view is built once, inside
+        assert h.counts is h.counts
+
+    @pytest.mark.parametrize("args, match", [
+        ((2, [3, 1], [1, 1], 2), "strictly increasing"),
+        ((2, [1, 1], [1, 1], 2), "strictly increasing"),
+        ((2, [0, 4], [1, 1], 2), "out of range"),
+        ((2, [-1, 0], [1, 1], 2), "out of range"),
+        ((2, [0, 1], [2], 2), "2 outcomes but 1 counts"),
+        ((2, [0, 1.0], [1, 1], 2), "must be integers"),
+        ((2, [0, 1], [1, 1.0], 2), "must be integers"),
+        ((2, [0, 1], [1, True], 2), "must be integers"),
+        ((2, [0, 1], ["1", 1], 2), "must be integers"),
+        ((2, [0, 1], [2, 0], 2), "positive"),
+        ((2, [0, 1], [3, -1], 2), "positive"),
+        ((2, [0, 1], [1, 1], 3), "counts sum 2 != shots 3"),
+        ((2, [], [], 1), "counts sum 0 != shots 1"),
+        ((0, [0], [1], 1), "num_qubits"),
+        ((True, [0], [1], 1), "num_qubits"),
+        ((2, [0], [1], 0), "shots"),
+        ((2, [0], [1], 1.0), "shots"),
+    ], ids=["unsorted", "duplicate", "above-range", "negative-outcome",
+            "length-mismatch", "float-outcome", "float-count", "bool-count",
+            "str-count", "zero-count", "negative-count", "sum-not-shots",
+            "empty", "zero-qubits", "bool-qubits", "zero-shots",
+            "float-shots"])
+    def test_from_outcomes_rejects(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            Histogram.from_outcomes(*args)
+
 
 # Property: random construction sequences keep all invariants.
 @given(st.integers(1, 6), st.data())

@@ -8,12 +8,12 @@ import warnings
 import pytest
 
 from qoffload import runtime, sim
-from qoffload.circuit import bell_circuit
+from qoffload.circuit import bell_circuit, create_circuit
 from qoffload.qasm import emit_qasm
 from qoffload.resman import ResmanClient, ServerError, client_submit, serve
 from qoffload.resman import protocol
-from qoffload.runtime import (Device, DeviceKind, DeviceRegistry, JobFailedError,
-                              RemoteBackend)
+from qoffload.runtime import (Device, DeviceKind, DeviceRegistry, Job,
+                              JobFailedError, RemoteBackend)
 
 from oracles import random_circuit
 from servers import counting_server
@@ -494,16 +494,19 @@ class TestRemoteBackend:
 
 
     def test_oversized_result_fails_job_once(self, monkeypatch):
-        # 10 qubits give 1024 counts, a Result frame of over 2 kB.
+        # H on 10 qubits at 4096 shots gives about 1000 nonzero outcomes, a
+        # sparse Result frame of over 2 kB.
         monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 2000)
         srv, counts = counting_server()
         registry = DeviceRegistry()
+        spread = create_circuit(10)
+        for q in range(10):
+            spread.h(q)
         try:
             registry.register(Device("qpu", DeviceKind.REMOTE,
                                      endpoint=srv.address))
             with pytest.raises(JobFailedError, match="does not fit in a frame"):
-                registry.submit_sync("qpu", random_circuit(random.Random(5), 10, 4),
-                                     10, 0)
+                registry.submit_sync("qpu", spread.measure(), 4096, 0)
             # Answered, not dropped: the job is not resent, and the
             # connection serves the next job.
             result = registry.submit_sync("qpu", bell_circuit(), 10, 0)
@@ -512,6 +515,132 @@ class TestRemoteBackend:
         finally:
             registry.shutdown()
             srv.shutdown()
+
+
+    def test_result_too_large_dense_fits_sparse(self, monkeypatch):
+        # The scaled-down form of a 23-qubit job: its dense Result would
+        # exceed the frame limit, its sparse one does not.
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 2000)
+        circuit = random_circuit(random.Random(5), 10, 4)
+        local = sim.run_and_sample(circuit, 10, 0)
+        with pytest.raises(protocol.OversizedFrameError):
+            protocol.encode_frame(protocol.result(local.counts, 10, 0.0))
+        srv = serve()
+        registry = DeviceRegistry()
+        try:
+            registry.register(Device("qpu", DeviceKind.REMOTE,
+                                     endpoint=srv.address))
+            result = registry.submit_sync("qpu", circuit, 10, 0)
+            assert result.histogram == local
+        finally:
+            registry.shutdown()
+            srv.shutdown()
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda r: dict(r, outcomes=[*r["outcomes"][1::-1], *r["outcomes"][2:]]),
+        lambda r: dict(r, outcomes=[*r["outcomes"][:1], *r["outcomes"][:-1]]),
+        lambda r: dict(r, outcomes=[*r["outcomes"][:-1], 1 << r["num_qubits"]]),
+        lambda r: dict(r, counts=r["counts"][:-1]),
+        lambda r: dict(r, counts=[0, r["counts"][0] + r["counts"][1],
+                                  *r["counts"][2:]]),
+        lambda r: dict(r, counts=[r["counts"][0] + 1, *r["counts"][1:]]),
+        lambda r: protocol.result([1] + [0] * 7, 10, 0.0),
+    ], ids=["unsorted", "duplicate", "out-of-range", "length-mismatch",
+            "zero-count", "sum-not-shots", "dense-sum-not-shots"])
+    def test_malformed_result_fails_only_its_job(self, corrupt):
+        # A server whose first request gets its first reply corrupted.
+        srv = serve()
+        replies, corrupted = srv._replies, []
+
+        def corrupt_first(msg):
+            frames = replies(msg)
+            if not corrupted:
+                corrupted.append(msg)
+                yield corrupt(next(frames))
+            yield from frames
+
+        srv._replies = corrupt_first
+        spread = create_circuit(3).h(0).h(1).h(2).measure()
+        jobs = [Job(spread, 10, seed, submitted_at=0.0) for seed in range(3)]
+        backend = RemoteBackend(srv.address)
+        try:
+            outcomes = list(backend.run_batch(jobs))
+            assert isinstance(outcomes[0], protocol.MalformedMessageError)
+            for job, outcome in zip(jobs[1:], outcomes[1:]):
+                assert outcome == sim.run_and_sample(spread, 10, job.seed)
+            # The next job reads its own reply, not a frame of the batch.
+            again = backend.run(Job(spread, 7, 9, submitted_at=0.0))
+            assert again == sim.run_and_sample(spread, 7, 9)
+        finally:
+            backend.close()
+            srv.shutdown()
+
+    def test_batch_left_unread_closes_connection(self, server):
+        jobs = [(emit_qasm(bell_circuit()), 10, seed) for seed in range(3)]
+        with ResmanClient(server.address) as client:
+            outcomes = client.run_batch(jobs)
+            next(outcomes)
+            outcomes.close()  # two reply frames are left unread
+            assert client._sock.fileno() == -1
+            with pytest.raises(OSError):
+                client.ping()
+
+
+class TestSparseResult:
+    def test_sparse_replies_equal_local_20_random(self, server):
+        rng = random.Random(2026)
+        jobs = [(random_circuit(rng, rng.randint(1, 6), rng.randint(1, 12)),
+                 rng.randint(1, 500), rng.randrange(2 ** 32))
+                for _ in range(20)]
+        entries = [(emit_qasm(circuit), shots, seed)
+                   for circuit, shots, seed in jobs]
+        with socket.create_connection(server.address, timeout=10) as sock:
+            waited = []
+            for entry in entries:
+                protocol.send_message(
+                    sock, protocol.submit_job(*entry, wait=True, sparse=True))
+                waited.append(protocol.recv_message(sock))
+            protocol.send_message(sock, protocol.submit_batch(entries,
+                                                              sparse=True))
+            batched = [protocol.recv_message(sock) for _ in entries]
+            protocol.send_message(sock, protocol.submit_job(*entries[0],
+                                                            wait=True))
+            dense = protocol.recv_message(sock)
+        for (circuit, shots, seed), *replies in zip(jobs, waited, batched):
+            local = sim.run_and_sample(circuit, shots, seed)
+            for reply in replies:
+                assert reply["kind"] == "Result"
+                assert reply["outcomes"] == list(local.outcomes)
+                assert reply["counts"] == list(local.outcome_counts)
+                assert reply["num_qubits"] == circuit.num_qubits
+                assert reply["shots"] == shots
+                assert reply["server_wall_time"] >= 0
+        # Without `sparse`, the reply is dense, as it always was.
+        assert "outcomes" not in dense
+        circuit, shots, seed = jobs[0]
+        assert dense["counts"] == list(sim.run_and_sample(circuit, shots,
+                                                          seed).counts)
+
+    @pytest.mark.parametrize("request_msg, code", [
+        (dict(protocol.submit_job(emit_qasm(bell_circuit()), 10, 0, wait=True),
+              sparse=1), "BAD_REQUEST"),
+        (dict(protocol.submit_job(emit_qasm(bell_circuit()), 10, 0, wait=True),
+              sparse="yes"), "BAD_REQUEST"),
+        (protocol.submit_job(emit_qasm(bell_circuit()), 10, 0, sparse=True),
+         "BAD_REQUEST"),
+        (dict(protocol.submit_batch([(emit_qasm(bell_circuit()), 10, 0)]),
+              sparse=1), "BAD_BATCH"),
+        (dict(protocol.submit_batch([(emit_qasm(bell_circuit()), 10, 0)]),
+              sparse=None), "BAD_BATCH"),
+    ], ids=["int-sparse", "str-sparse", "sparse-without-wait",
+            "batch-int-sparse", "batch-null-sparse"])
+    def test_bad_sparse_rejected(self, server, request_msg, code):
+        with ResmanClient(server.address) as client:
+            response = client.request(request_msg)
+            assert response["kind"] == "Error"
+            assert response["code"] == code
+            client.ping()  # the connection survives, with no reply left over
+        assert server._jobs == {}
 
 
 class TestClientSubmit:
