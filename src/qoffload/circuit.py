@@ -213,10 +213,13 @@ class Histogram:
         n = len(counts)
         if n < 2 or n & (n - 1):
             raise ValueError(f"counts length must be a power of two >= 2, got {n}")
+        if type(shots) is not int or shots < 1:
+            raise ValueError(f"shots must be a positive integer, got {shots!r}")
+        # `type(x) is int` rejects bools and floats, as `from_outcomes` does.
+        if not {*map(type, counts)} <= {int}:
+            raise ValueError("counts must be integers")
         if min(counts) < 0:
             raise ValueError("negative count")
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
         total = sum(counts)
         if total != shots:
             raise ValueError(f"counts sum {total} != shots {shots}")

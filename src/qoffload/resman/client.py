@@ -78,18 +78,18 @@ class ResmanClient:
 
     def run(self, qasm: str, shots: int, seed: int) -> tuple[Histogram, float]:
         """Submit a job and block until its histogram and server-side wall
-        time arrive: one request, `SubmitJob` with `wait` and `sparse`."""
+        time arrive: one request, `SubmitJob` with `wait`."""
         return _histogram(self.request(
-            protocol.submit_job(qasm, shots, seed, wait=True, sparse=True)))
+            protocol.submit_job(qasm, shots, seed, wait=True)))
 
     def run_batch(self, jobs):
         """Run (qasm, shots, seed) jobs as one `SubmitJob` request with
-        `jobs` and `sparse`, and yield each job's outcome, in order, as its
-        reply frame arrives: its histogram and server-side wall time, or the
-        exception that fails it (the `ServerError` of its `Error` frame, or
-        the `MalformedMessageError` of a `Result` that is not a valid
-        histogram). An `Error` that answers the whole request (`BAD_BATCH`,
-        or `BAD_FRAME` from a server that does not take `jobs`) is the last
+        `jobs`, and yield each job's outcome, in order, as its reply frame
+        arrives: its histogram and server-side wall time, or the exception
+        that fails it (the `ServerError` of its `Error` frame, or the
+        `MalformedMessageError` of a frame that is not a valid `Result`).
+        An `Error` that answers the whole request (`BAD_BATCH`, or
+        `BAD_FRAME` from a server that does not take `jobs`) is the last
         frame of that request and fails every job it carries. A batch whose
         request would exceed `MAX_FRAME_BYTES` is split into requests that
         fit, sent one after another; a job too large for a request of its
@@ -103,23 +103,23 @@ class ResmanClient:
                 continue
             unread = count
             try:
-                response = self.request(msg)
-                if (response["kind"] == "Error"
-                        and response["code"] in _WHOLE_REQUEST):
-                    unread = 0
-                    error = ServerError(response["code"], response["message"])
-                    for _ in range(count):
-                        yield error
-                    continue
                 for index in range(count):
-                    if index:
-                        response = self._receive()
-                    unread -= 1
                     try:
-                        outcome = _histogram(response)
-                    except (ServerError, protocol.MalformedMessageError) as exc:
-                        outcome = exc
-                    yield outcome
+                        response = self._receive() if index else self.request(msg)
+                    except protocol.MalformedMessageError as exc:
+                        # A whole frame that is not a valid message; the
+                        # next frame starts where it ended.
+                        response = exc
+                    unread -= 1
+                    if (not index and isinstance(response, dict)
+                            and response["kind"] == "Error"
+                            and response["code"] in _WHOLE_REQUEST):
+                        unread = 0
+                        error = ServerError(response["code"], response["message"])
+                        for _ in range(count):
+                            yield error
+                        break
+                    yield _outcome(response)
             finally:
                 if unread:
                     self.close()
@@ -133,7 +133,7 @@ def _batch_requests(jobs: list) -> list:
     """(request, job count) pairs of `SubmitJob` requests that carry `jobs`
     in order: one request, or halves split until each fits in a frame. A job
     that does not fit on its own comes as (its `OversizedFrameError`, 1)."""
-    msg = protocol.submit_batch(jobs, sparse=True)
+    msg = protocol.submit_batch(jobs)
     if _body_bound(jobs) <= protocol.MAX_FRAME_BYTES:
         return [(msg, len(jobs))]
     try:
@@ -149,18 +149,29 @@ def _batch_requests(jobs: list) -> list:
 def _body_bound(jobs: list) -> int:
     """An upper bound on the body size of the request carrying `jobs`,
     found without encoding it: JSON writes a character of QASM as at most
-    12 bytes (a surrogate pair of escapes), each job adds its three field
-    names, its numbers and punctuation, under 40 bytes besides, and the
-    request's own fields take under 60."""
-    return 60 + sum(12 * len(qasm) + 40 + len(str(shots)) + len(str(seed))
+    12 bytes (a surrogate pair of escapes), and each job adds its three
+    field names, its numbers and punctuation, under 40 bytes besides."""
+    return 40 + sum(12 * len(qasm) + 40 + len(str(shots)) + len(str(seed))
                     for qasm, shots, seed in jobs)
+
+
+def _outcome(response):
+    """A job's outcome from its reply frame, or from the exception that
+    reading the frame raised: its histogram and server-side wall time, or
+    the exception that fails it."""
+    if isinstance(response, Exception):
+        return response
+    try:
+        return _histogram(response)
+    except (ServerError, protocol.MalformedMessageError) as exc:
+        return exc
 
 
 def _histogram(response: dict) -> tuple[Histogram, float]:
     """A `Result`'s histogram, from its sparse or its dense form, and its
     server-side wall time. An `Error` raises its `ServerError`; any other
-    reply, or a `Result` whose fields are not a valid histogram, raises
-    `MalformedMessageError`."""
+    reply, or a `Result` whose fields are not a valid histogram and wall
+    time, raises `MalformedMessageError`."""
     if response["kind"] == "Error":
         raise ServerError(response["code"], response["message"])
     try:
@@ -170,9 +181,12 @@ def _histogram(response: dict) -> tuple[Histogram, float]:
                 response["counts"], response["shots"])
         else:
             histogram = Histogram(response["counts"], response["shots"])
+        wall = response["server_wall_time"]
+        if type(wall) not in (int, float):
+            raise TypeError(f"server_wall_time must be a number, got {wall!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise protocol.MalformedMessageError(f"invalid Result: {exc}") from exc
-    return histogram, response["server_wall_time"]
+    return histogram, wall
 
 
 def client_submit(endpoint: tuple[str, int], circuit: Circuit,

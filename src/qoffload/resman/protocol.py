@@ -142,28 +142,20 @@ def pong() -> dict:
     return {"kind": "Pong"}
 
 
-def submit_job(qasm: str, shots: int, seed: int, wait: bool = False,
-               sparse: bool = False) -> dict:
-    """A SubmitJob; with wait the reply is the job's Result or Error, and
-    with sparse (which needs wait) that Result is sparse."""
+def submit_job(qasm: str, shots: int, seed: int, wait: bool = False) -> dict:
+    """A SubmitJob; with wait the reply is the job's Result or Error."""
     msg = {"kind": "SubmitJob", "qasm": qasm, "shots": shots, "seed": seed}
     if wait:
         msg["wait"] = True
-    if sparse:
-        msg["sparse"] = True
     return msg
 
 
-def submit_batch(jobs, sparse: bool = False) -> dict:
+def submit_batch(jobs) -> dict:
     """A SubmitJob carrying several (qasm, shots, seed) jobs in `jobs`; its
-    reply is one Result or Error frame per job, in order, each Result
-    sparse with sparse."""
-    msg = {"kind": "SubmitJob",
-           "jobs": [{"qasm": qasm, "shots": shots, "seed": seed}
-                    for qasm, shots, seed in jobs]}
-    if sparse:
-        msg["sparse"] = True
-    return msg
+    reply is one Result or Error frame per job, in order."""
+    return {"kind": "SubmitJob",
+            "jobs": [{"qasm": qasm, "shots": shots, "seed": seed}
+                     for qasm, shots, seed in jobs]}
 
 
 def query_status(job_id: int) -> dict:
@@ -194,6 +186,16 @@ def sparse_result(histogram, server_wall_time: float) -> dict:
             "counts": histogram.outcome_counts,
             "num_qubits": histogram.num_qubits, "shots": histogram.shots,
             "server_wall_time": server_wall_time}
+
+
+def histogram_result(histogram, server_wall_time: float) -> dict:
+    """A `circuit.Histogram`'s Result in the shorter form. A sparse Result
+    carries two numbers per nonzero outcome, a dense one one number per
+    outcome, so it is sparse when fewer than half of the 2^n outcomes are
+    nonzero."""
+    if 2 * len(histogram.outcomes) < 1 << histogram.num_qubits:
+        return sparse_result(histogram, server_wall_time)
+    return result(histogram.counts, histogram.shots, server_wall_time)
 
 
 def error(code: str, message: str) -> dict:

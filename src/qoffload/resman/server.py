@@ -7,12 +7,12 @@ A waited `SubmitJob` is answered with its `Result` or `Error` frame as soon
 as it finishes and is not retained. A `SubmitJob` carrying several jobs in
 `jobs` has each of them queued and answered as a waited `SubmitJob`, one
 frame per job, so a batch of jobs costs one request instead of submit,
-status polls and fetch per job. A waited or batch `SubmitJob` that carries
-`"sparse": true` is answered with sparse `Result` frames, which hold only a
-histogram's nonzero (outcome, count) pairs, at most `shots` of them, where
-a dense one holds all 2^n counts. A configurable one-way delay is slept
-before each request is processed, modelling the link latency of a remote
-(off-premise) device.
+status polls and fetch per job. A `Result` is sent sparse, holding only the
+histogram's nonzero (outcome, count) pairs, at most `shots` of them, when
+fewer than half of its 2^n outcomes are nonzero, and dense, holding all
+2^n counts, otherwise. A configurable one-way delay is slept before each
+request is processed, modelling the link latency of a remote (off-premise)
+device.
 """
 from __future__ import annotations
 
@@ -172,7 +172,7 @@ class ResourceManagerServer:
         if msg["kind"] != "SubmitJob" or "jobs" not in msg:
             yield self._handle(msg)
             return
-        jobs, sparse = msg["jobs"], msg.get("sparse", False)
+        jobs = msg["jobs"]
         if (not isinstance(jobs, list) or not jobs
                 or not all(isinstance(entry, dict) for entry in jobs)):
             yield protocol.error(
@@ -181,14 +181,11 @@ class ResourceManagerServer:
             yield protocol.error(
                 "BAD_BATCH", "a SubmitJob with jobs carries no qasm, shots, "
                 "seed or wait of its own")
-        elif not isinstance(sparse, bool):
-            yield protocol.error("BAD_BATCH", "sparse must be a boolean")
         else:
             # Every entry is queued before the first is answered, so the
             # device runs them back to back while replies are sent.
             for item in [self._queue(entry) for entry in jobs]:
-                yield (self._answer(item, sparse)
-                       if isinstance(item, JobHandle) else item)
+                yield self._answer(item) if isinstance(item, JobHandle) else item
 
     def _handle(self, msg: dict) -> dict:
         """The reply to one request that carries at most one job."""
@@ -214,20 +211,15 @@ class ResourceManagerServer:
     def _handle_submit(self, msg: dict) -> dict:
         """Queue one job. Without `wait`, the job is retained until fetched
         and answered `Accepted`; with it, the job is answered as an entry of
-        `jobs` is, and `sparse` asks for the sparse `Result`."""
-        wait, sparse = msg.get("wait", False), msg.get("sparse", False)
+        `jobs` is."""
+        wait = msg.get("wait", False)
         if not isinstance(wait, bool):
             return protocol.error("BAD_REQUEST", "wait must be a boolean")
-        if not isinstance(sparse, bool):
-            return protocol.error("BAD_REQUEST", "sparse must be a boolean")
-        if sparse and not wait:
-            return protocol.error("BAD_REQUEST",
-                                  "sparse needs wait: a fetched Result is dense")
         handle = self._queue(msg)
         if not isinstance(handle, JobHandle):
             return handle
         if wait:
-            return self._answer(handle, sparse)
+            return self._answer(handle)
         with self._jobs_lock:
             self._jobs[handle.job_id] = handle
         return protocol.accepted(handle.job_id)
@@ -259,11 +251,11 @@ class ResourceManagerServer:
         self._worker.submit(job, handle)
         return handle
 
-    def _answer(self, handle: JobHandle, sparse: bool) -> dict:
+    def _answer(self, handle: JobHandle) -> dict:
         """A waited job's reply once it finished. The job is not retained,
         since no reply names its id."""
         handle.wait()
-        return self._finished_reply(handle, sparse)
+        return self._finished_reply(handle)
 
     def _handle_fetch(self, handle: JobHandle) -> dict:
         """A retained job's reply; once it finished, the reply counts as its
@@ -273,20 +265,16 @@ class ResourceManagerServer:
                                   f"job {handle.job_id} is {handle.status.value}")
         with self._jobs_lock:
             self._fetched_at[handle.job_id] = time.monotonic()
-        return self._finished_reply(handle, sparse=False)
+        return self._finished_reply(handle)
 
     @staticmethod
-    def _finished_reply(handle: JobHandle, sparse: bool) -> dict:
-        """A finished job's `Result`, sparse or dense, or its `JOB_FAILED`
-        `Error`."""
+    def _finished_reply(handle: JobHandle) -> dict:
+        """A finished job's `Result`, or its `JOB_FAILED` `Error`."""
         if handle.error is not None:
             return protocol.error("JOB_FAILED", str(handle.error))
         result = handle.result
-        wall = result.finished_at - result.started_at
-        if sparse:
-            return protocol.sparse_result(result.histogram, wall)
-        return protocol.result(result.histogram.counts, result.histogram.shots,
-                               wall)
+        return protocol.histogram_result(
+            result.histogram, result.finished_at - result.started_at)
 
     def _evict_fetched(self) -> None:
         cutoff = time.monotonic() - self.result_ttl

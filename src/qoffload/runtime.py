@@ -188,8 +188,9 @@ class RemoteBackend(Backend):
     within `_REPLY_TIMEOUT` seconds, or any other failure that is not
     retried, fails the unanswered jobs and closes the connection, so no
     unread reply of the batch answers a later job; the next batch opens a
-    new one. An `Error` frame, or a `Result` that is not a valid histogram,
-    fails only its own job. Results are asked for in the sparse form.
+    new one. An `Error` frame, or a `Result` that is not a valid histogram
+    or whose qubit or shot count differs from its job's, fails only its
+    own job.
     """
 
     def __init__(self, endpoint: tuple[str, int]):
@@ -223,7 +224,7 @@ class RemoteBackend(Backend):
         the unanswered jobs cannot be run, each of them gets the error."""
         # Imported here: the resman client imports this module.
         from .resman.client import ResmanClient
-        from .resman.protocol import ProtocolError
+        from .resman.protocol import MalformedMessageError, ProtocolError
 
         entries = [(emit_qasm(job.circuit), job.shots, job.seed) for job in jobs]
         answered = 0
@@ -235,9 +236,19 @@ class RemoteBackend(Backend):
                                                 timeout=_REPLY_TIMEOUT)
                 try:
                     for outcome in self._client.run_batch(entries[answered:]):
+                        job = jobs[answered]
                         answered += 1
-                        yield (outcome if isinstance(outcome, Exception)
-                               else outcome[0])
+                        if isinstance(outcome, Exception):
+                            yield outcome
+                        elif (outcome[0].num_qubits, outcome[0].shots) != (
+                                job.circuit.num_qubits, job.shots):
+                            yield MalformedMessageError(
+                                f"Result of {outcome[0].num_qubits} qubits "
+                                f"and {outcome[0].shots} shots for a job of "
+                                f"{job.circuit.num_qubits} qubits and "
+                                f"{job.shots} shots")
+                        else:
+                            yield outcome[0]
                 except TimeoutError as exc:
                     self.close()
                     raise JobFailedError(

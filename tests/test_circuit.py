@@ -149,6 +149,16 @@ class TestHistogram:
         with pytest.raises(ValueError, match="negative count"):
             Histogram((-1, 2), 1)
 
+    @pytest.mark.parametrize("counts, shots, match", [
+        ((0.5, 0.5), 1, "must be integers"),
+        ((True, False), 1, "must be integers"),
+        ((1, 1), 2.0, "shots"),
+        ((1, 0), True, "shots"),
+    ], ids=["float-counts", "bool-counts", "float-shots", "bool-shots"])
+    def test_dense_rejects_non_int(self, counts, shots, match):
+        with pytest.raises(ValueError, match=match):
+            Histogram(counts, shots)
+
     def test_holds_nonzero_entries(self):
         h = Histogram((0, 3, 0, 0, 5, 0, 0, 2), 10)
         assert (h.num_qubits, h.shots) == (3, 10)

@@ -1,6 +1,8 @@
 import gc
+import json
 import random
 import socket
+import struct
 import threading
 import time
 import warnings
@@ -11,7 +13,7 @@ from qoffload import runtime, sim
 from qoffload.circuit import bell_circuit, create_circuit
 from qoffload.qasm import emit_qasm
 from qoffload.resman import ResmanClient, ServerError, client_submit, serve
-from qoffload.resman import protocol
+from qoffload.resman import client as client_module, protocol
 from qoffload.runtime import (Device, DeviceKind, DeviceRegistry, Job,
                               JobFailedError, RemoteBackend)
 
@@ -495,7 +497,7 @@ class TestRemoteBackend:
 
     def test_oversized_result_fails_job_once(self, monkeypatch):
         # H on 10 qubits at 4096 shots gives about 1000 nonzero outcomes, a
-        # sparse Result frame of over 2 kB.
+        # Result frame of over 2 kB in either form.
         monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 2000)
         srv, counts = counting_server()
         registry = DeviceRegistry()
@@ -545,8 +547,17 @@ class TestRemoteBackend:
                                   *r["counts"][2:]]),
         lambda r: dict(r, counts=[r["counts"][0] + 1, *r["counts"][1:]]),
         lambda r: protocol.result([1] + [0] * 7, 10, 0.0),
+        lambda r: {k: v for k, v in r.items() if k != "server_wall_time"},
+        lambda r: dict(r, server_wall_time="0.1"),
+        # Valid histograms, but not of the job they answer.
+        lambda r: dict(r, num_qubits=r["num_qubits"] + 1),
+        lambda r: dict(r, counts=[r["counts"][0] + 1, *r["counts"][1:]],
+                       shots=r["shots"] + 1),
+        lambda r: protocol.result([10] + [0] * 7, 10, 0.0),
     ], ids=["unsorted", "duplicate", "out-of-range", "length-mismatch",
-            "zero-count", "sum-not-shots", "dense-sum-not-shots"])
+            "zero-count", "sum-not-shots", "dense-sum-not-shots",
+            "missing-wall-time", "str-wall-time", "wrong-num-qubits",
+            "wrong-shots", "dense-wrong-num-qubits"])
     def test_malformed_result_fails_only_its_job(self, corrupt):
         # A server whose first request gets its first reply corrupted.
         srv = serve()
@@ -560,7 +571,13 @@ class TestRemoteBackend:
             yield from frames
 
         srv._replies = corrupt_first
-        spread = create_circuit(3).h(0).h(1).h(2).measure()
+        # Frames are sent as they are, unchecked, like a faulty server's.
+        srv._frame = _raw_frame
+        # 10 shots over 64 outcomes: every reply is sparse.
+        spread = create_circuit(6)
+        for q in range(6):
+            spread.h(q)
+        spread.measure()
         jobs = [Job(spread, 10, seed, submitted_at=0.0) for seed in range(3)]
         backend = RemoteBackend(srv.address)
         try:
@@ -586,61 +603,45 @@ class TestRemoteBackend:
                 client.ping()
 
 
-class TestSparseResult:
-    def test_sparse_replies_equal_local_20_random(self, server):
+def _raw_frame(msg: dict) -> bytes:
+    body = json.dumps(msg).encode()
+    return struct.pack("!I", len(body)) + body
+
+
+class TestResultForm:
+    def test_replies_equal_local_20_random(self, server):
         rng = random.Random(2026)
-        jobs = [(random_circuit(rng, rng.randint(1, 6), rng.randint(1, 12)),
-                 rng.randint(1, 500), rng.randrange(2 ** 32))
+        jobs = [(random_circuit(rng, rng.randint(1, 7), rng.randint(1, 12)),
+                 rng.randint(1, 80), rng.randrange(2 ** 32))
                 for _ in range(20)]
         entries = [(emit_qasm(circuit), shots, seed)
                    for circuit, shots, seed in jobs]
-        with socket.create_connection(server.address, timeout=10) as sock:
-            waited = []
-            for entry in entries:
-                protocol.send_message(
-                    sock, protocol.submit_job(*entry, wait=True, sparse=True))
-                waited.append(protocol.recv_message(sock))
-            protocol.send_message(sock, protocol.submit_batch(entries,
-                                                              sparse=True))
-            batched = [protocol.recv_message(sock) for _ in entries]
-            protocol.send_message(sock, protocol.submit_job(*entries[0],
-                                                            wait=True))
-            dense = protocol.recv_message(sock)
-        for (circuit, shots, seed), *replies in zip(jobs, waited, batched):
+        with ResmanClient(server.address) as client:
+            waited = [client.request(protocol.submit_job(*entry, wait=True))
+                      for entry in entries]
+            batched = [client.request(protocol.submit_batch(entries))]
+            batched += [client._receive() for _ in entries[1:]]
+            fetched = [client.request(protocol.fetch_result(
+                client.submit(*entry))) for entry in entries[:1]]
+        forms = set()
+        for (circuit, shots, seed), *replies in zip(jobs, waited, batched,
+                                                    fetched + [None] * 19):
             local = sim.run_and_sample(circuit, shots, seed)
-            for reply in replies:
+            sparse = 2 * len(local.outcomes) < 1 << circuit.num_qubits
+            forms.add(sparse)
+            for reply in filter(None, replies):
                 assert reply["kind"] == "Result"
-                assert reply["outcomes"] == list(local.outcomes)
-                assert reply["counts"] == list(local.outcome_counts)
-                assert reply["num_qubits"] == circuit.num_qubits
+                assert ("outcomes" in reply) == sparse
+                if sparse:
+                    assert reply["outcomes"] == list(local.outcomes)
+                    assert reply["counts"] == list(local.outcome_counts)
+                    assert reply["num_qubits"] == circuit.num_qubits
+                else:
+                    assert reply["counts"] == list(local.counts)
                 assert reply["shots"] == shots
                 assert reply["server_wall_time"] >= 0
-        # Without `sparse`, the reply is dense, as it always was.
-        assert "outcomes" not in dense
-        circuit, shots, seed = jobs[0]
-        assert dense["counts"] == list(sim.run_and_sample(circuit, shots,
-                                                          seed).counts)
-
-    @pytest.mark.parametrize("request_msg, code", [
-        (dict(protocol.submit_job(emit_qasm(bell_circuit()), 10, 0, wait=True),
-              sparse=1), "BAD_REQUEST"),
-        (dict(protocol.submit_job(emit_qasm(bell_circuit()), 10, 0, wait=True),
-              sparse="yes"), "BAD_REQUEST"),
-        (protocol.submit_job(emit_qasm(bell_circuit()), 10, 0, sparse=True),
-         "BAD_REQUEST"),
-        (dict(protocol.submit_batch([(emit_qasm(bell_circuit()), 10, 0)]),
-              sparse=1), "BAD_BATCH"),
-        (dict(protocol.submit_batch([(emit_qasm(bell_circuit()), 10, 0)]),
-              sparse=None), "BAD_BATCH"),
-    ], ids=["int-sparse", "str-sparse", "sparse-without-wait",
-            "batch-int-sparse", "batch-null-sparse"])
-    def test_bad_sparse_rejected(self, server, request_msg, code):
-        with ResmanClient(server.address) as client:
-            response = client.request(request_msg)
-            assert response["kind"] == "Error"
-            assert response["code"] == code
-            client.ping()  # the connection survives, with no reply left over
-        assert server._jobs == {}
+                assert client_module._histogram(reply)[0] == local
+        assert forms == {True, False}  # both forms were sent
 
 
 class TestClientSubmit:
