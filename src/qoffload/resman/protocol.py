@@ -180,22 +180,17 @@ def result(counts: list[int], shots: int, server_wall_time: float) -> dict:
             "server_wall_time": server_wall_time}
 
 
-def sparse_result(histogram, server_wall_time: float) -> dict:
-    """A sparse Result: a `circuit.Histogram`'s nonzero entries only."""
+def histogram_result(histogram, server_wall_time: float) -> dict:
+    """A `circuit.Histogram`'s Result in the shorter form. A sparse Result,
+    the nonzero entries only, carries two numbers per nonzero outcome, a
+    dense one one number per outcome, so it is sparse when fewer than half
+    of the 2^n outcomes are nonzero."""
+    if 2 * len(histogram.outcomes) >= 1 << histogram.num_qubits:
+        return result(histogram.counts, histogram.shots, server_wall_time)
     return {"kind": "Result", "outcomes": histogram.outcomes,
             "counts": histogram.outcome_counts,
             "num_qubits": histogram.num_qubits, "shots": histogram.shots,
             "server_wall_time": server_wall_time}
-
-
-def histogram_result(histogram, server_wall_time: float) -> dict:
-    """A `circuit.Histogram`'s Result in the shorter form. A sparse Result
-    carries two numbers per nonzero outcome, a dense one one number per
-    outcome, so it is sparse when fewer than half of the 2^n outcomes are
-    nonzero."""
-    if 2 * len(histogram.outcomes) < 1 << histogram.num_qubits:
-        return sparse_result(histogram, server_wall_time)
-    return result(histogram.counts, histogram.shots, server_wall_time)
 
 
 def error(code: str, message: str) -> dict:
