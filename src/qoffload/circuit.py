@@ -273,13 +273,6 @@ class Histogram:
             self.__dict__["_counts"] = tuple(dense)
         return self._counts
 
-    def to_dict(self) -> dict:
-        return {"counts": list(self.counts), "shots": self.shots}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Histogram":
-        return cls(tuple(int(c) for c in d["counts"]), int(d["shots"]))
-
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _FIXED_MATRICES = {

@@ -1,18 +1,42 @@
 """OpenQASM 2.0 emission and parsing.
 
-The emitter produces the canonical program layout: header, `qreg q[n];`,
-`creg c[n];`, one gate line per gate, `measure q -> c;`. The parser accepts
-exactly that shape (any register identifiers, literal or pi-expression
-parameters) and rejects the rest of the QASM 2.0 grammar as unsupported.
-`emit(parse(text))` is the canonical re-serialization of `text`.
+The emitter writes the canonical layout: header, `qreg q[n];`, `creg c[n];`,
+one gate line per gate, `measure q -> c;`. `emit(parse(text))` is the
+canonical re-serialization of `text`. The parser reads that shape, with any
+register names, one `;`-terminated statement at a time, and rejects the
+rest of the QASM 2.0 grammar as unsupported:
+
+    OPENQASM 2.0;
+    include "qelib1.inc";
+    qreg NAME[SIZE];
+    creg NAME[SIZE];
+    GATE NAME[INDEX];                   h x y z s sdg t tdg
+    GATE(EXPR) NAME[INDEX];             rx ry rz
+    GATE NAME[INDEX],NAME[INDEX];       cx cz swap
+    measure NAME -> NAME;
+
+Blanks (space, tab, CR, LF) and `//` comments, which run to the end of the
+line, may stand between statements and between any two tokens of one; two
+names must be parted by at least one. A name is a letter or `_` followed by
+letters, digits and `_`, in Unicode's sense as `str.isalpha` and
+`str.isalnum` take it. SIZE and INDEX are decimal integers: the sizes are
+equal and within the circuit IR's 1..24 qubits, and each INDEX is below
+SIZE. EXPR is an optional `-` and then numbers and `pi` joined by `*` and
+`/`, folded left to right to a finite value.
+
+Every rejection raises a `QasmError` with a 1-based line and column: those
+of the field at fault when one field of a well-shaped statement fails its
+check (the version, include file, a register name, size or index, or a
+division by zero), else those of the statement's first character.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
 
 from .circuit import (
     Circuit,
+    CircuitError,
     Gate,
     GateKind,
     PARAMETRIC_KINDS,
@@ -33,10 +57,6 @@ class QasmError(Exception):
         self.message = message
         self.line = line
         self.col = col
-
-
-class QasmLexError(QasmError):
-    pass
 
 
 class QasmSyntaxError(QasmError):
@@ -67,277 +87,163 @@ def emit_qasm(circuit: Circuit) -> str:
     return QASM_HEADER + "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ID, NUMBER, STRING, or the literal symbol
-    text: str
-    line: int
-    col: int
-
-
-# Braces, comparison, and assignment only occur in unsupported constructs;
-# lexing them lets the parser name the construct instead of failing earlier.
-_SYMBOLS = {";", "[", "]", "(", ")", ",", "*", "/", "+", "-",
-            "{", "}", "=", "<", ">"}
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(_Token("->", "->", line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise QasmLexError("unterminated string", line, start_col)
-                j += 1
-            if j >= n:
-                raise QasmLexError("unterminated string", line, start_col)
-            tokens.append(_Token("STRING", text[i + 1:j], line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] in ".eE"
-                             or (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            lit = text[i:j]
-            try:
-                float(lit)
-            except ValueError:
-                raise QasmLexError(f"malformed number {lit!r}", line, start_col)
-            tokens.append(_Token("NUMBER", lit, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ID", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise QasmLexError(f"unexpected character {ch!r}", line, start_col)
-    return tokens
-
-
 _UNSUPPORTED_KEYWORDS = {"gate", "if", "barrier", "opaque", "reset", "U", "CX"}
 
+# Comments are blanked to spaces before any statement is matched, so `_`,
+# a run of blanks, is all that parts two tokens. Strings are kept whole, as
+# a `//` inside one is not a comment. A `\b` after a name keeps a pattern
+# from ending the name early: `hq[0]` is the gate `hq`, never `h q[0]`.
+_STRING_OR_COMMENT = re.compile(r'("[^"\n]*")|//[^\n]*')
+_ = r"[ \t\r\n]*"
+_BLANKS = re.compile(_)
+_WORD = re.compile(r"\w*")
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_FACTOR = rf"(?:{_NUMBER}|pi\b)"
+_OPERAND = rf"(\w+){_}\[{_}(\d+){_}\]{_}"
+_VERSION = re.compile(rf"OPENQASM\b{_}({_NUMBER}){_};")
+_INCLUDE = re.compile(rf'include{_}"([^"\n]*)"{_};')
+_QREG, _CREG = (re.compile(rf"{keyword}\b{_}(\w+){_}\[{_}(\d+){_}\]{_};")
+                for keyword in ("qreg", "creg"))
+_GATE = re.compile(
+    rf"\w+\b{_}(?:\({_}(-?{_}{_FACTOR}(?:{_}[*/]{_}{_FACTOR})*){_}\){_})?"
+    rf"{_OPERAND}(?:,{_}{_OPERAND})?;")
+_MEASURE = re.compile(rf"measure\b{_}(\w+){_}->{_}(\w+){_};")
+_PER_QUBIT_MEASURE = re.compile(rf"measure\b{_}\w+{_}\[")
+_TERM = re.compile(rf"([*/]?){_}({_NUMBER}|pi)")
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+def _error(cls: type[QasmError], message: str, src: str, index: int) -> QasmError:
+    line = src.count("\n", 0, index) + 1
+    return cls(message, line, index - src.rfind("\n", 0, index))
 
-    def _eof_pos(self) -> tuple[int, int]:
-        if self.tokens:
-            t = self.tokens[-1]
-            return t.line, t.col + len(t.text)
-        return 1, 1
 
-    def _next(self, expected: str) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            line, col = self._eof_pos()
-            raise QasmSyntaxError(f"expected {expected}, found end of input", line, col)
-        self.pos += 1
-        return tok
+def _statement(pattern: re.Pattern, src: str, pos: int, expected: str) -> re.Match:
+    """Skip the blanks at `pos` and match the statement there to `pattern`."""
+    start = _BLANKS.match(src, pos).end()
+    m = pattern.match(src, start)
+    if m is None:
+        word = _WORD.match(src, start)[0]
+        if word in _UNSUPPORTED_KEYWORDS:
+            raise _error(UnsupportedConstructError,
+                         f"unsupported construct {word!r}", src, start)
+        raise _error(QasmSyntaxError, f"expected {expected}", src, start)
+    return m
 
-    def _expect(self, kind: str, text: str | None = None) -> _Token:
-        what = text if text is not None else kind
-        tok = self._next(repr(what))
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise QasmSyntaxError(
-                f"expected {what!r}, found {tok.text!r}", tok.line, tok.col
-            )
-        return tok
 
-    def parse(self) -> Circuit:
-        self._expect("ID", "OPENQASM")
-        version = self._expect("NUMBER")
-        if version.text != "2.0":
-            raise UnsupportedConstructError(
-                f"unsupported OPENQASM version {version.text}", version.line, version.col
-            )
-        self._expect(";")
-        self._expect("ID", "include")
-        inc = self._expect("STRING")
-        if inc.text != "qelib1.inc":
-            raise UnsupportedConstructError(
-                f"unsupported include {inc.text!r}", inc.line, inc.col
-            )
-        self._expect(";")
+def _integer(src: str, m: re.Match, group: int) -> int:
+    try:
+        return int(m[group])
+    except ValueError:  # more digits than int() reads from a string
+        raise _error(QasmSyntaxError, "integer too long", src,
+                     m.start(group)) from None
 
-        qreg_name, qreg_size = self._parse_reg_decl("qreg")
-        creg_name, creg_size = self._parse_reg_decl("creg")
-        if creg_size != qreg_size:
-            tok = self.tokens[self.pos - 2]
-            raise QasmSyntaxError(
-                f"creg size {creg_size} does not match qreg size {qreg_size}",
-                tok.line, tok.col,
-            )
-        circuit = create_circuit(qreg_size)
 
-        measured = False
-        while (tok := self._peek()) is not None:
-            if tok.kind != "ID":
-                raise QasmSyntaxError(f"expected statement, found {tok.text!r}",
-                                      tok.line, tok.col)
-            if measured:
-                raise UnsupportedConstructError(
-                    "statement after measurement", tok.line, tok.col
-                )
-            if tok.text == "measure":
-                self._parse_measure(qreg_name, creg_name)
-                circuit.measure()
-                measured = True
-            else:
-                circuit.apply(self._parse_gate(qreg_name, qreg_size))
-        if not measured:
-            line, col = self._eof_pos()
-            raise QasmSyntaxError("missing terminal measurement", line, col)
-        return circuit
+def _is_name(word: str) -> bool:
+    return word[:1].isalpha() or word[:1] == "_"
 
-    def _parse_reg_decl(self, keyword: str) -> tuple[str, int]:
-        kw = self._next(repr(keyword))
-        if kw.kind != "ID" or kw.text != keyword:
-            if kw.kind == "ID" and kw.text in _UNSUPPORTED_KEYWORDS:
-                raise UnsupportedConstructError(
-                    f"unsupported construct {kw.text!r}", kw.line, kw.col
-                )
-            raise QasmSyntaxError(f"expected {keyword!r}, found {kw.text!r}",
-                                  kw.line, kw.col)
-        name = self._expect("ID")
-        self._expect("[")
-        size = self._expect("NUMBER")
-        if not size.text.isdigit() or int(size.text) < 1:
-            raise QasmSyntaxError(f"invalid register size {size.text!r}",
-                                  size.line, size.col)
-        self._expect("]")
-        self._expect(";")
-        return name.text, int(size.text)
 
-    def _parse_measure(self, qreg_name: str, creg_name: str) -> None:
-        self._expect("ID", "measure")
-        src = self._expect("ID")
-        if src.text != qreg_name:
-            raise QasmSyntaxError(f"unknown register {src.text!r}", src.line, src.col)
-        tok = self._peek()
-        if tok is not None and tok.kind == "[":
-            raise UnsupportedConstructError(
-                "per-qubit measurement (only full-register measure is supported)",
-                tok.line, tok.col,
-            )
-        self._expect("->")
-        dst = self._expect("ID")
-        if dst.text != creg_name:
-            raise QasmSyntaxError(f"unknown register {dst.text!r}", dst.line, dst.col)
-        self._expect(";")
+def _register(src: str, m: re.Match) -> tuple[str, int]:
+    name = m[1]
+    if not _is_name(name):
+        raise _error(QasmSyntaxError, f"invalid register name {name!r}",
+                     src, m.start(1))
+    return name, _integer(src, m, 2)
 
-    def _parse_gate(self, qreg_name: str, qreg_size: int) -> Gate:
-        name = self._expect("ID")
-        if name.text in _UNSUPPORTED_KEYWORDS:
-            raise UnsupportedConstructError(
-                f"unsupported construct {name.text!r}", name.line, name.col
-            )
-        kind = _MNEMONICS.get(name.text)
-        if kind is None:
-            raise UnsupportedConstructError(
-                f"unsupported gate {name.text!r}", name.line, name.col
-            )
-        param = None
-        if kind in PARAMETRIC_KINDS:
-            self._expect("(")
-            param = self._parse_expr()
-            self._expect(")")
-        targets = [self._parse_qubit_operand(qreg_name, qreg_size)]
-        expected = 2 if kind in TWO_QUBIT_KINDS else 1
-        while expected > len(targets):
-            self._expect(",")
-            targets.append(self._parse_qubit_operand(qreg_name, qreg_size))
-        self._expect(";")
-        return Gate(kind, tuple(targets), param)
 
-    def _parse_qubit_operand(self, qreg_name: str, qreg_size: int) -> int:
-        name = self._expect("ID")
-        if name.text != qreg_name:
-            raise QasmSyntaxError(f"unknown register {name.text!r}",
-                                  name.line, name.col)
-        self._expect("[")
-        idx = self._expect("NUMBER")
-        if not idx.text.isdigit():
-            raise QasmSyntaxError(f"invalid qubit index {idx.text!r}",
-                                  idx.line, idx.col)
-        value = int(idx.text)
-        if value >= qreg_size:
-            raise QasmSyntaxError(
-                f"qubit index {value} out of range for {qreg_name}[{qreg_size}]",
-                idx.line, idx.col,
-            )
-        self._expect("]")
-        return value
+def _qubit(src: str, m: re.Match, group: int, qreg: str, size: int) -> int:
+    """The index of the operand in `group` (name) and `group + 1` (index)."""
+    if m[group] != qreg:
+        raise _error(QasmSyntaxError, f"unknown register {m[group]!r}",
+                     src, m.start(group))
+    index = _integer(src, m, group + 1)
+    if index >= size:
+        raise _error(QasmSyntaxError,
+                     f"qubit index {index} out of range for {qreg}[{size}]",
+                     src, m.start(group + 1))
+    return index
 
-    # Parameter expressions: optional sign, then products/quotients of
-    # numeric literals and `pi`. Covers pi, pi/2, 2*pi, 3*pi/2, -0.5, etc.
-    def _parse_expr(self) -> float:
-        sign = 1.0
-        tok = self._peek()
-        if tok is not None and tok.kind == "-":
-            self.pos += 1
-            sign = -1.0
-        value = self._parse_factor()
-        while (tok := self._peek()) is not None and tok.kind in ("*", "/"):
-            self.pos += 1
-            rhs = self._parse_factor()
-            if tok.kind == "*":
-                value *= rhs
-            else:
-                if rhs == 0.0:
-                    raise QasmSyntaxError("division by zero", tok.line, tok.col)
-                value /= rhs
-        return sign * value
 
-    def _parse_factor(self) -> float:
-        tok = self._next("parameter")
-        if tok.kind == "NUMBER":
-            return float(tok.text)
-        if tok.kind == "ID" and tok.text == "pi":
-            return math.pi
-        raise QasmSyntaxError(f"expected number or 'pi', found {tok.text!r}",
-                              tok.line, tok.col)
+def _fold(src: str, m: re.Match) -> float:
+    """The value of the parameter expression in group 1 of a gate match."""
+    value = 1.0
+    for op, factor in _TERM.findall(m[1]):
+        x = math.pi if factor == "pi" else float(factor)
+        if op != "/":
+            value *= x
+        elif x == 0.0:
+            raise _error(QasmSyntaxError, "division by zero", src, m.start(1))
+        else:
+            value /= x
+    return -value if m[1][0] == "-" else value
 
 
 def parse_qasm(text: str) -> Circuit:
     """Parse the supported OpenQASM 2.0 subset into a finalized circuit."""
-    return _Parser(text).parse()
+    src = _STRING_OR_COMMENT.sub(lambda m: m[1] or " " * len(m[0]), text)
+    m = _statement(_VERSION, src, 0, "'OPENQASM 2.0;'")
+    if m[1] != "2.0":
+        raise _error(UnsupportedConstructError,
+                     f"unsupported OPENQASM version {m[1]}", src, m.start(1))
+    m = _statement(_INCLUDE, src, m.end(), "'include \"qelib1.inc\";'")
+    if m[1] != "qelib1.inc":
+        raise _error(UnsupportedConstructError,
+                     f"unsupported include {m[1]!r}", src, m.start(1))
+    m = _statement(_QREG, src, m.end(), "'qreg' declaration")
+    qreg, qreg_size = _register(src, m)
+    try:
+        circuit = create_circuit(qreg_size)
+    except CircuitError as exc:
+        raise _error(QasmSyntaxError, str(exc), src, m.start(2)) from None
+    m = _statement(_CREG, src, m.end(), "'creg' declaration")
+    creg, creg_size = _register(src, m)
+    if creg_size != qreg_size:
+        raise _error(QasmSyntaxError,
+                     f"creg size {creg_size} does not match qreg size {qreg_size}",
+                     src, m.start(2))
+
+    pos = m.end()
+    while (start := _BLANKS.match(src, pos).end()) < len(src):
+        word = _WORD.match(src, start)[0]
+        if word == "measure":
+            break
+        kind = _MNEMONICS.get(word)
+        if kind is None:
+            if not _is_name(word):
+                raise _error(QasmSyntaxError, "expected statement", src, start)
+            what = "construct" if word in _UNSUPPORTED_KEYWORDS else "gate"
+            raise _error(UnsupportedConstructError,
+                         f"unsupported {what} {word!r}", src, start)
+        m = _GATE.match(src, start)
+        if (m is None or (m[1] is None) == (kind in PARAMETRIC_KINDS)
+                or (m[4] is None) == (kind in TWO_QUBIT_KINDS)):
+            raise _error(QasmSyntaxError, f"malformed {word!r} statement",
+                         src, start)
+        targets = tuple(_qubit(src, m, group, qreg, qreg_size)
+                        for group in (2, 4) if m[group] is not None)
+        param = None if m[1] is None else _fold(src, m)
+        try:
+            circuit.apply(Gate(kind, targets, param))
+        except CircuitError as exc:
+            raise _error(QasmSyntaxError, str(exc), src, start) from None
+        pos = m.end()
+    else:
+        raise _error(QasmSyntaxError, "missing terminal measurement", src, pos)
+
+    m = _MEASURE.match(src, start)
+    if m is None:
+        if _PER_QUBIT_MEASURE.match(src, start):
+            raise _error(
+                UnsupportedConstructError,
+                "per-qubit measurement (only full-register measure is supported)",
+                src, start)
+        raise _error(QasmSyntaxError, "malformed 'measure' statement", src, start)
+    for group, name in ((1, qreg), (2, creg)):
+        if m[group] != name:
+            raise _error(QasmSyntaxError, f"unknown register {m[group]!r}",
+                         src, m.start(group))
+    rest = _BLANKS.match(src, m.end()).end()
+    if rest < len(src):
+        cls = (UnsupportedConstructError if _is_name(_WORD.match(src, rest)[0])
+               else QasmSyntaxError)
+        raise _error(cls, "statement after measurement", src, rest)
+    return circuit.measure()

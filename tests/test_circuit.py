@@ -140,10 +140,8 @@ class TestHistogram:
         with pytest.raises(ValueError, match="counts sum 3 != shots 4"):
             Histogram((1, 2), 4)
 
-    def test_roundtrip_dict(self):
-        h = Histogram((500, 0, 0, 500), 1000)
-        assert Histogram.from_dict(h.to_dict()) == h
-        assert h.num_qubits == 2
+    def test_num_qubits_from_counts_length(self):
+        assert Histogram((500, 0, 0, 500), 1000).num_qubits == 2
 
     def test_negative_count(self):
         with pytest.raises(ValueError, match="negative count"):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,85 @@ class TestParse:
         with pytest.raises(QasmError) as exc:
             parse_qasm('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2]\ncreg c[2];\n')
         assert exc.value.line >= 3
+
+    @pytest.mark.parametrize("body", [
+        "qreg q[2];\ncreg c[2];\nry(1e999) q[0];\nmeasure q -> c;\n",
+        "qreg q[2];\ncreg c[2];\nrx(1e308*10) q[0];\nmeasure q -> c;\n",
+        "qreg q[25];\ncreg c[25];\nmeasure q -> c;\n",
+        "qreg q[2];\ncreg c[2];\ncx q[1],q[1];\nmeasure q -> c;\n",
+        "qreg q[2];\ncreg c[2];\nh q[" + "0" * 5000 + "];\nmeasure q -> c;\n",
+    ], ids=["inf-literal", "inf-product", "over-ir-bound", "same-targets",
+            "5000-digit-index"])
+    def test_circuit_faults_are_positioned_qasm_errors(self, body):
+        with pytest.raises(QasmError) as exc:
+            parse_qasm('OPENQASM 2.0;\ninclude "qelib1.inc";\n' + body)
+        assert exc.value.line >= 1 and exc.value.col >= 1
+
+
+PI_PROGRAM = ('OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+              "qreg q[2];\ncreg c[2];\nrx(pi/2) q[0];\nry(-3*pi/4) q[1];\n"
+              "rz(0.5/pi) q[0];\ncx q[0],q[1];\nmeasure q -> c;\n")
+
+
+class TestAcceptedLanguage:
+    """Blanks and comments may stand between any two tokens."""
+
+    @pytest.mark.parametrize("program", [GOLDEN_BELL, PI_PROGRAM],
+                             ids=["bell", "pi"])
+    @pytest.mark.parametrize("respell", [
+        lambda t: t.replace(" ", " // note; \"x\"\n  "),
+        lambda t: t.replace("q[", "q\n[").replace(",", "\n,"),
+        lambda t: t.replace(") q[", ")q[").replace(" -> ", "->"),
+        lambda t: t.replace("[", " [ ").replace("]", " ] ").replace("(", "( "),
+        lambda t: t.replace("\n", " "),
+        lambda t: t.replace("\n", "\r\n\t"),
+    ], ids=["comments", "newline-in-statement", "no-optional-spaces",
+            "spaced-brackets", "one-line", "crlf-tabs"])
+    def test_respelled_program_parses_equal(self, program, respell):
+        text = respell(program)
+        assert text != program
+        assert parse_qasm(text) == parse_qasm(program)
+
+    @pytest.mark.parametrize("stmt,cls", [
+        ("hq[0];", UnsupportedConstructError),
+        ("tdgq[0];", UnsupportedConstructError),
+        ("h q[0]", QasmSyntaxError),
+        ("measure q -> c;\nh q[0];", UnsupportedConstructError),
+    ], ids=["hq", "tdgq", "no-semicolon", "after-measure"])
+    def test_rejected_with_error_class(self, stmt, cls):
+        text = ('OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+                f"qreg q[2];\ncreg c[2];\n{stmt}\nmeasure q -> c;\n")
+        with pytest.raises(cls):
+            parse_qasm(text)
+
+    @pytest.mark.parametrize("tail", [
+        lambda n: "h" + " " * n,
+        lambda n: "h" + " " * n + ";",
+        lambda n: "rx" + "(" * n,
+        lambda n: "rx(" + "pi*" * (n // 3),
+        lambda n: "rx(" + "1" * n + "*",
+        lambda n: "h q[" + "0" * n,
+        lambda n: "h " + "q" * n,
+        lambda n: "// " + "/" * n,
+        lambda n: '"' * n,
+    ], ids=["blanks", "blanks-semicolon", "parens", "products", "digits",
+            "index", "name", "comment", "quotes"])
+    def test_parse_time_linear_in_statement_length(self, tail):
+        # Texts from clients reach the server's parser, so no statement may
+        # make a pattern backtrack more than linearly in its length.
+        def best_time(n, reps=5):
+            text = ('OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+                    "qreg q[2];\ncreg c[2];\n" + tail(n))
+            times = []
+            for _ in range(reps):
+                t0 = time.perf_counter()
+                with pytest.raises(QasmError):
+                    parse_qasm(text)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        t_small, t_large = best_time(2**16), best_time(2**18)
+        assert t_large / t_small < 8
 
 
 class TestRoundTrip:

@@ -11,7 +11,7 @@ import pytest
 
 from qoffload import runtime, sim
 from qoffload.circuit import bell_circuit, create_circuit
-from qoffload.qasm import emit_qasm
+from qoffload.qasm import QASM_HEADER, emit_qasm
 from qoffload.resman import ResmanClient, ServerError, client_submit, serve
 from qoffload.resman import client as client_module, protocol
 from qoffload.runtime import (Device, DeviceKind, DeviceRegistry, Job,
@@ -61,10 +61,21 @@ class TestServer:
         assert histogram == sim.run_and_sample(bell_circuit(), 1000, 7)
         assert wall >= 0
 
-    def test_malformed_qasm_parse_error(self, server):
+    @pytest.mark.parametrize("qasm", [
+        "OPENQASM 2.0;\nqreg q[2;\n",
+        QASM_HEADER + "qreg q[2];\ncreg c[2];\nry(1e999) q[0];\nmeasure q -> c;\n",
+        QASM_HEADER + "qreg q[2];\ncreg c[2];\nrx(1e308*10) q[0];\nmeasure q -> c;\n",
+        QASM_HEADER + "qreg q[25];\ncreg c[25];\nmeasure q -> c;\n",
+        QASM_HEADER + "qreg q[2];\ncreg c[2];\ncx q[1],q[1];\nmeasure q -> c;\n",
+        QASM_HEADER + "qreg q[2];\ncreg c[2];\nh q[" + "0" * 5000 + "];\n"
+        "measure q -> c;\n",
+    ], ids=["missing-bracket", "inf-literal", "inf-product", "over-ir-bound",
+            "same-targets", "5000-digit-index"])
+    def test_malformed_qasm_parse_error(self, server, qasm):
         with ResmanClient(server.address) as client:
             with pytest.raises(ServerError) as exc:
-                client.submit("OPENQASM 2.0;\nqreg q[2;\n", 10, 0)
+                client.submit(qasm, 10, 0)
+            client.ping()  # the connection survives the rejected job
         assert exc.value.code == "PARSE"
         assert "line" in str(exc.value)
 
