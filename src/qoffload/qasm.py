@@ -93,6 +93,8 @@ _UNSUPPORTED_KEYWORDS = {"gate", "if", "barrier", "opaque", "reset", "U", "CX"}
 # a run of blanks, is all that parts two tokens. Strings are kept whole, as
 # a `//` inside one is not a comment. A `\b` after a name keeps a pattern
 # from ending the name early: `hq[0]` is the gate `hq`, never `h q[0]`.
+# No two blank runs meet without a required character between them, or a
+# failed match would try every split of one run between the two.
 _STRING_OR_COMMENT = re.compile(r'("[^"\n]*")|//[^\n]*')
 _ = r"[ \t\r\n]*"
 _BLANKS = re.compile(_)
@@ -105,11 +107,11 @@ _INCLUDE = re.compile(rf'include{_}"([^"\n]*)"{_};')
 _QREG, _CREG = (re.compile(rf"{keyword}\b{_}(\w+){_}\[{_}(\d+){_}\]{_};")
                 for keyword in ("qreg", "creg"))
 _GATE = re.compile(
-    rf"\w+\b{_}(?:\({_}(-?{_}{_FACTOR}(?:{_}[*/]{_}{_FACTOR})*){_}\){_})?"
+    rf"\w+\b{_}(?:\({_}((?:-{_})?{_FACTOR}(?:{_}[*/]{_}{_FACTOR})*){_}\){_})?"
     rf"{_OPERAND}(?:,{_}{_OPERAND})?;")
 _MEASURE = re.compile(rf"measure\b{_}(\w+){_}->{_}(\w+){_};")
 _PER_QUBIT_MEASURE = re.compile(rf"measure\b{_}\w+{_}\[")
-_TERM = re.compile(rf"([*/]?){_}({_NUMBER}|pi)")
+_TERM = re.compile(rf"([*/]?)({_NUMBER}|pi)")
 
 
 def _error(cls: type[QasmError], message: str, src: str, index: int) -> QasmError:
@@ -165,16 +167,14 @@ def _qubit(src: str, m: re.Match, group: int, qreg: str, size: int) -> int:
 
 def _fold(src: str, m: re.Match) -> float:
     """The value of the parameter expression in group 1 of a gate match."""
+    expr = "".join(m[1].split())  # `_GATE` has checked no blank parts a number
     value = 1.0
-    for op, factor in _TERM.findall(m[1]):
+    for op, factor in _TERM.findall(expr):
         x = math.pi if factor == "pi" else float(factor)
-        if op != "/":
-            value *= x
-        elif x == 0.0:
+        if op == "/" and x == 0.0:
             raise _error(QasmSyntaxError, "division by zero", src, m.start(1))
-        else:
-            value /= x
-    return -value if m[1][0] == "-" else value
+        value = value / x if op == "/" else value * x
+    return -value if expr[0] == "-" else value
 
 
 def parse_qasm(text: str) -> Circuit:

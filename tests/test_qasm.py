@@ -174,30 +174,53 @@ class TestAcceptedLanguage:
         lambda n: "h" + " " * n,
         lambda n: "h" + " " * n + ";",
         lambda n: "rx" + "(" * n,
+        lambda n: "rx(" + " " * n,
+        lambda n: "rx(-" + " " * n,
+        lambda n: "rx(pi" + " " * n + "*",
         lambda n: "rx(" + "pi*" * (n // 3),
         lambda n: "rx(" + "1" * n + "*",
         lambda n: "h q[" + "0" * n,
         lambda n: "h " + "q" * n,
         lambda n: "// " + "/" * n,
         lambda n: '"' * n,
-    ], ids=["blanks", "blanks-semicolon", "parens", "products", "digits",
-            "index", "name", "comment", "quotes"])
+    ], ids=["blanks", "blanks-semicolon", "parens", "paren-blanks",
+            "minus-blanks", "factor-blanks", "products", "digits", "index",
+            "name", "comment", "quotes"])
     def test_parse_time_linear_in_statement_length(self, tail):
         # Texts from clients reach the server's parser, so no statement may
         # make a pattern backtrack more than linearly in its length.
-        def best_time(n, reps=5):
-            text = ('OPENQASM 2.0;\ninclude "qelib1.inc";\n'
-                    "qreg q[2];\ncreg c[2];\n" + tail(n))
-            times = []
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                with pytest.raises(QasmError):
-                    parse_qasm(text)
-                times.append(time.perf_counter() - t0)
-            return min(times)
+        def parse_rejected(text):
+            with pytest.raises(QasmError):
+                parse_qasm(text)
 
-        t_small, t_large = best_time(2**16), best_time(2**18)
-        assert t_large / t_small < 8
+        assert _parse_time_ratio(tail, parse_rejected) < 8
+
+    @pytest.mark.parametrize("tail", [
+        lambda n: "rx(pi" + " " * n + "*pi) q[0];",
+        lambda n: "rx(" + " " * n + "pi) q[0];",
+        lambda n: "rx(-" + " " * n + "pi) q[0];",
+        lambda n: "cx q[0]" + " " * n + ",q[1];",
+    ], ids=["factor-blanks", "paren-blanks", "minus-blanks", "operand-blanks"])
+    def test_accepted_parse_time_linear_in_statement_length(self, tail):
+        def parse_accepted(text):
+            assert len(parse_qasm(text + "\nmeasure q -> c;\n").gates) == 1
+
+        assert _parse_time_ratio(tail, parse_accepted) < 8
+
+
+def _parse_time_ratio(tail, parse, reps=5):
+    """Best time of `parse` on a statement 2^18 long over one 2^16 long."""
+    def best_time(n):
+        text = ('OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+                "qreg q[2];\ncreg c[2];\n" + tail(n))
+        times = []
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            parse(text)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    return best_time(2**18) / best_time(2**16)
 
 
 class TestRoundTrip:
