@@ -1,4 +1,9 @@
-"""Blocking client for the resource-manager wire protocol."""
+"""Blocking client for the resource-manager wire protocol.
+
+`submit` is the `target nowait` of the paper's offload model and `fetch`
+its `taskwait`: a `FetchResult` is answered once the job has finished, so
+no call polls.
+"""
 from __future__ import annotations
 
 import socket
@@ -6,10 +11,8 @@ import time
 
 from ..circuit import Circuit, Histogram
 from ..qasm import emit_qasm
-from ..runtime import JobResult, JobStatus
+from ..runtime import JobResult
 from . import protocol
-
-_FINISHED = (JobStatus.DONE.value, JobStatus.FAILED.value)
 
 
 class ServerError(Exception):
@@ -66,21 +69,10 @@ class ResmanClient:
             raise ServerError(response["code"], response["message"])
         return response["job_id"]
 
-    def job_status(self, job_id: int) -> str:
-        response = self.request(protocol.query_status(job_id))
-        if response["kind"] == "Error":
-            raise ServerError(response["code"], response["message"])
-        return response["status"]
-
     def fetch(self, job_id: int) -> tuple[Histogram, float]:
-        """Fetch a finished job's histogram and server-side wall time."""
+        """Wait for a submitted job to finish; its histogram and server-side
+        wall time. A failed job raises `ServerError` `JOB_FAILED`."""
         return _histogram(self.request(protocol.fetch_result(job_id)))
-
-    def run(self, qasm: str, shots: int, seed: int) -> tuple[Histogram, float]:
-        """Submit a job and block until its histogram and server-side wall
-        time arrive: one request, `SubmitJob` with `wait`."""
-        return _histogram(self.request(
-            protocol.submit_job(qasm, shots, seed, wait=True)))
 
     def run_batch(self, jobs):
         """Run (qasm, shots, seed) jobs as one `SubmitJob` request with
@@ -191,22 +183,18 @@ def _histogram(response: dict) -> tuple[Histogram, float]:
 
 def client_submit(endpoint: tuple[str, int], circuit: Circuit,
                   shots: int, seed: int,
-                  poll_interval: float = 0.005,
                   timeout: float = 120.0) -> JobResult:
-    """Submit a circuit as QASM, poll until done, fetch the histogram.
+    """Submit a circuit as QASM and fetch its histogram: two requests on a
+    new connection. Each reply must come within `timeout` seconds, or
+    `TimeoutError` is raised.
 
     wall_time is the measured client-side round trip (submit to fetch).
     """
     qasm = emit_qasm(circuit)
     start = time.monotonic()
     with ResmanClient(endpoint, timeout=timeout) as client:
-        job_id = client.submit(qasm, shots, seed)
-        while (state := client.job_status(job_id)) not in _FINISHED:
-            if time.monotonic() - start > timeout:
-                raise TimeoutError(f"job {job_id} still {state} after {timeout}s")
-            time.sleep(poll_interval)
         # A failed job's fetch raises ServerError("JOB_FAILED", reason).
-        histogram, _server_wall = client.fetch(job_id)
+        histogram, _server_wall = client.fetch(client.submit(qasm, shots, seed))
     finished = time.monotonic()
     return JobResult(histogram=histogram, wall_time=finished - start,
                      device_name=f"{endpoint[0]}:{endpoint[1]}",

@@ -1,10 +1,11 @@
 """Wire protocol: 4-byte big-endian length prefix + UTF-8 JSON body.
 
 Every message is a JSON object with a "kind" discriminator. Requests:
-Ping, SubmitJob, QueryStatus, FetchResult. Responses: Pong, Accepted,
-Status, Result, Error. A Result is dense (all 2^n counts) or sparse (the
-nonzero outcomes and their counts). See docs/protocol.md for the
-field-level contract.
+Ping, SubmitJob, FetchResult. Responses: Pong, Accepted, Result, Error.
+A FetchResult waits for its job to finish, as `taskwait` does, so no
+request asks for a job's status. A Result is dense (all 2^n counts) or
+sparse (the nonzero outcomes and their counts). See docs/protocol.md for
+the field-level contract.
 """
 from __future__ import annotations
 
@@ -18,13 +19,11 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 REQUEST_KINDS = {
     "Ping": (),
     "SubmitJob": ("qasm", "shots", "seed"),
-    "QueryStatus": ("job_id",),
     "FetchResult": ("job_id",),
 }
 RESPONSE_KINDS = {
     "Pong": (),
     "Accepted": ("job_id",),
-    "Status": ("status",),
     "Result": ("counts", "shots", "server_wall_time"),
     "Error": ("code", "message"),
 }
@@ -142,12 +141,9 @@ def pong() -> dict:
     return {"kind": "Pong"}
 
 
-def submit_job(qasm: str, shots: int, seed: int, wait: bool = False) -> dict:
-    """A SubmitJob; with wait the reply is the job's Result or Error."""
-    msg = {"kind": "SubmitJob", "qasm": qasm, "shots": shots, "seed": seed}
-    if wait:
-        msg["wait"] = True
-    return msg
+def submit_job(qasm: str, shots: int, seed: int) -> dict:
+    """A SubmitJob of one job, answered Accepted with its id."""
+    return {"kind": "SubmitJob", "qasm": qasm, "shots": shots, "seed": seed}
 
 
 def submit_batch(jobs) -> dict:
@@ -158,20 +154,12 @@ def submit_batch(jobs) -> dict:
                      for qasm, shots, seed in jobs]}
 
 
-def query_status(job_id: int) -> dict:
-    return {"kind": "QueryStatus", "job_id": job_id}
-
-
 def fetch_result(job_id: int) -> dict:
     return {"kind": "FetchResult", "job_id": job_id}
 
 
 def accepted(job_id: int) -> dict:
     return {"kind": "Accepted", "job_id": job_id}
-
-
-def status(value: str) -> dict:
-    return {"kind": "Status", "status": value}
 
 
 def result(counts: list[int], shots: int, server_wall_time: float) -> dict:

@@ -1,18 +1,19 @@
 """Quantum resource-manager service.
 
 Accepts framed JSON requests, parses submitted QASM and queues jobs FIFO onto
-one runtime device worker (one simulated device). A `SubmitJob` without
-`wait` is answered `Accepted`, and its handle holds the result until fetched.
-A waited `SubmitJob` is answered with its `Result` or `Error` frame as soon
-as it finishes and is not retained. A `SubmitJob` carrying several jobs in
-`jobs` has each of them queued and answered as a waited `SubmitJob`, one
-frame per job, so a batch of jobs costs one request instead of submit,
-status polls and fetch per job. A `Result` is sent sparse, holding only the
-histogram's nonzero (outcome, count) pairs, at most `shots` of them, when
-fewer than half of its 2^n outcomes are nonzero, and dense, holding all
-2^n counts, otherwise. A configurable one-way delay is slept before each
-request is processed, modelling the link latency of a remote (off-premise)
-device.
+one runtime device worker (one simulated device). A `SubmitJob` of one job
+is answered `Accepted` with its id, the `target nowait` of the paper's
+offload model; a `FetchResult` of that id is its `taskwait`: it blocks until
+the job finishes and is answered with the job's `Result` or `Error` frame.
+The job is retained, and can be fetched again, until `result_ttl` seconds
+after it finished, fetched or not. A `SubmitJob` carrying several jobs in
+`jobs` has each of them queued and answered as a fetch is, one frame per
+job, so a batch of jobs costs one request; its jobs are not retained. A
+`Result` is sent sparse, holding only the histogram's nonzero (outcome,
+count) pairs, at most `shots` of them, when fewer than half of its 2^n
+outcomes are nonzero, and dense, holding all 2^n counts, otherwise. A
+configurable one-way delay is slept before each request is processed,
+modelling the link latency of a remote (off-premise) device.
 """
 from __future__ import annotations
 
@@ -77,7 +78,6 @@ class ResourceManagerServer:
         self.address: tuple[str, int] = self._sock.getsockname()
 
         self._jobs: dict[int, JobHandle] = {}
-        self._fetched_at: dict[int, float] = {}
         self._jobs_lock = threading.Lock()
         self._ids = itertools.count(1)
         self._shutdown = threading.Event()
@@ -168,7 +168,7 @@ class ResourceManagerServer:
         """The replies to one request, each produced after the one before
         was sent: one per entry of a `SubmitJob` with `jobs`, or one
         `BAD_BATCH` for a malformed batch; one for any other request."""
-        self._evict_fetched()
+        self._evict_finished()
         if msg["kind"] != "SubmitJob" or "jobs" not in msg:
             yield self._handle(msg)
             return
@@ -177,10 +177,10 @@ class ResourceManagerServer:
                 or not all(isinstance(entry, dict) for entry in jobs)):
             yield protocol.error(
                 "BAD_BATCH", "jobs must be a non-empty list of objects")
-        elif any(name in msg for name in (*_JOB_FIELDS, "wait")):
+        elif any(name in msg for name in _JOB_FIELDS):
             yield protocol.error(
-                "BAD_BATCH", "a SubmitJob with jobs carries no qasm, shots, "
-                "seed or wait of its own")
+                "BAD_BATCH", "a SubmitJob with jobs carries no qasm, shots "
+                "or seed of its own")
         else:
             # Every entry is queued before the first is answered, so the
             # device runs them back to back while replies are sent.
@@ -193,8 +193,13 @@ class ResourceManagerServer:
         if kind == "Ping":
             return protocol.pong()
         if kind == "SubmitJob":
-            return self._handle_submit(msg)
-        if kind not in ("QueryStatus", "FetchResult"):
+            handle = self._queue(msg)
+            if not isinstance(handle, JobHandle):
+                return handle
+            with self._jobs_lock:
+                self._jobs[handle.job_id] = handle
+            return protocol.accepted(handle.job_id)
+        if kind != "FetchResult":
             return protocol.error("UNSUPPORTED",
                                   f"server cannot handle kind {kind!r}")
         job_id = msg["job_id"]
@@ -204,25 +209,7 @@ class ResourceManagerServer:
             handle = self._jobs.get(job_id)
         if handle is None:
             return protocol.error("UNKNOWN_JOB", f"no job {job_id!r}")
-        if kind == "QueryStatus":
-            return protocol.status(handle.status.value)
-        return self._handle_fetch(handle)
-
-    def _handle_submit(self, msg: dict) -> dict:
-        """Queue one job. Without `wait`, the job is retained until fetched
-        and answered `Accepted`; with it, the job is answered as an entry of
-        `jobs` is."""
-        wait = msg.get("wait", False)
-        if not isinstance(wait, bool):
-            return protocol.error("BAD_REQUEST", "wait must be a boolean")
-        handle = self._queue(msg)
-        if not isinstance(handle, JobHandle):
-            return handle
-        if wait:
-            return self._answer(handle)
-        with self._jobs_lock:
-            self._jobs[handle.job_id] = handle
-        return protocol.accepted(handle.job_id)
+        return self._answer(handle)
 
     def _queue(self, entry: dict) -> JobHandle | dict:
         """Check one job's fields, parse its QASM and queue it: the job's
@@ -252,19 +239,8 @@ class ResourceManagerServer:
         return handle
 
     def _answer(self, handle: JobHandle) -> dict:
-        """A waited job's reply once it finished. The job is not retained,
-        since no reply names its id."""
+        """A job's reply, a batch entry's or a fetch's, once it finished."""
         handle.wait()
-        return self._finished_reply(handle)
-
-    def _handle_fetch(self, handle: JobHandle) -> dict:
-        """A retained job's reply; once it finished, the reply counts as its
-        fetch."""
-        if not handle.wait(0):
-            return protocol.error("NOT_READY",
-                                  f"job {handle.job_id} is {handle.status.value}")
-        with self._jobs_lock:
-            self._fetched_at[handle.job_id] = time.monotonic()
         return self._finished_reply(handle)
 
     @staticmethod
@@ -276,14 +252,15 @@ class ResourceManagerServer:
         return protocol.histogram_result(
             result.histogram, result.finished_at - result.started_at)
 
-    def _evict_fetched(self) -> None:
+    def _evict_finished(self) -> None:
+        """Forget the retained jobs that finished over `result_ttl` ago."""
         cutoff = time.monotonic() - self.result_ttl
         with self._jobs_lock:
-            stale = [jid for jid, at in self._fetched_at.items() if at < cutoff]
-            for jid in stale:
-                del self._fetched_at[jid]
-                # A fetch that raced an earlier sweep re-stamps an evicted job.
-                self._jobs.pop(jid, None)
+            stale = [job_id for job_id, handle in self._jobs.items()
+                     if handle.finished_at is not None
+                     and handle.finished_at < cutoff]
+            for job_id in stale:
+                del self._jobs[job_id]
 
 
 def serve(host: str = "127.0.0.1", port: int = 0, *,

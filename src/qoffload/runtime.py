@@ -110,6 +110,8 @@ class JobHandle:
         self._status = JobStatus.QUEUED
         self._result: JobResult | None = None
         self._error: Exception | None = None
+        # `time.monotonic()` when the job became Done or Failed.
+        self.finished_at: float | None = None
 
     @property
     def status(self) -> JobStatus:
@@ -138,12 +140,14 @@ class JobHandle:
         with self._lock:
             self._status = JobStatus.DONE
             self._result = result
+            self.finished_at = time.monotonic()
         self._done.set()
 
     def _fail(self, error: Exception) -> None:
         with self._lock:
             self._status = JobStatus.FAILED
             self._error = error
+            self.finished_at = time.monotonic()
         self._done.set()
 
 

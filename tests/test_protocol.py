@@ -14,13 +14,10 @@ def _random_message(rng: random.Random) -> dict:
         qasm = "".join(rng.choices(string.printable, k=rng.randint(0, 200)))
         return protocol.submit_job(qasm, rng.randint(1, 10 ** 6),
                                    rng.randrange(2 ** 63))
-    if kind in ("QueryStatus", "FetchResult"):
-        msg = {"kind": kind, "job_id": rng.randrange(2 ** 63)}
-        return msg
+    if kind == "FetchResult":
+        return protocol.fetch_result(rng.randrange(2 ** 63))
     if kind == "Accepted":
         return protocol.accepted(rng.randrange(2 ** 63))
-    if kind == "Status":
-        return protocol.status(rng.choice(["Queued", "Running", "Done", "Failed"]))
     if kind == "Result":
         n = 2 ** rng.randint(1, 4)
         counts = [rng.randint(0, 100) for _ in range(n)]
@@ -40,6 +37,15 @@ class TestFraming:
         rng = random.Random(4242)
         for _ in range(500):
             msg = _random_message(rng)
+            assert protocol.decode_frame(protocol.encode_frame(msg)) == msg
+
+    def test_roundtrip_200_random_batches(self):
+        rng = random.Random(4343)
+        for _ in range(200):
+            msg = protocol.submit_batch(
+                ("".join(rng.choices(string.printable, k=rng.randint(0, 200))),
+                 rng.randint(1, 10 ** 6), rng.randrange(2 ** 63))
+                for _ in range(rng.randint(1, 8)))
             assert protocol.decode_frame(protocol.encode_frame(msg)) == msg
 
     def test_submit_job_with_qasm_roundtrip(self):

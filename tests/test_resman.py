@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import select
 import socket
 import struct
 import threading
@@ -32,16 +33,17 @@ def server():
     srv.shutdown()
 
 
-def _held_server():
+def _held_server(then=lambda circuit: circuit):
     """A counting server whose first job waits in its optimization pass
-    until `release` is set; `entered` is set once it waits."""
+    until `release` is set; `entered` is set once it waits. Every job then
+    goes through the pass `then`."""
     entered, release = threading.Event(), threading.Event()
 
     def hold_first(circuit):
         if not entered.is_set():
             entered.set()
             assert release.wait(timeout=30)
-        return circuit
+        return then(circuit)
 
     srv, counts = counting_server(optimization_pass=hold_first)
     return srv, counts, entered, release
@@ -55,11 +57,36 @@ class TestServer:
     def test_submit_and_fetch_matches_local(self, server):
         with ResmanClient(server.address) as client:
             job_id = client.submit(emit_qasm(bell_circuit()), 1000, 7)
-            while client.job_status(job_id) != "Done":
-                time.sleep(0.001)
             histogram, wall = client.fetch(job_id)
         assert histogram == sim.run_and_sample(bell_circuit(), 1000, 7)
         assert wall >= 0
+
+    @pytest.mark.parametrize("optimization_pass", [None, _failing_pass],
+                             ids=["done", "failed"])
+    def test_fetch_waits_for_the_job(self, optimization_pass):
+        srv, _counts, entered, release = _held_server(
+            optimization_pass or (lambda circuit: circuit))
+        try:
+            with ResmanClient(srv.address, timeout=30) as client:
+                job_id = client.submit(emit_qasm(bell_circuit()), 100, 3)
+                assert entered.wait(timeout=30)
+                protocol.send_message(client._sock,
+                                      protocol.fetch_result(job_id))
+                # The job is held, so the fetch is not answered yet.
+                assert select.select([client._sock], [], [], 0.2)[0] == []
+                release.set()
+                reply = client._receive()
+        finally:
+            release.set()
+            srv.shutdown()
+        if optimization_pass is None:
+            assert reply["kind"] == "Result", reply
+            assert (client_module._histogram(reply)[0]
+                    == sim.run_and_sample(bell_circuit(), 100, 3))
+        else:
+            assert reply["kind"] == "Error"
+            assert reply["code"] == "JOB_FAILED"
+            assert "pass rejected the circuit" in reply["message"]
 
     @pytest.mark.parametrize("qasm", [
         "OPENQASM 2.0;\nqreg q[2;\n",
@@ -82,7 +109,7 @@ class TestServer:
     def test_unknown_job(self, server):
         with ResmanClient(server.address) as client:
             with pytest.raises(ServerError) as exc:
-                client.job_status(98765)
+                client.fetch(98765)
             assert exc.value.code == "UNKNOWN_JOB"
 
     def test_capacity_limit(self):
@@ -139,8 +166,6 @@ class TestServer:
         try:
             with ResmanClient(srv.address) as client:
                 job_id = client.submit(emit_qasm(bell_circuit()), 10, 0)
-                while client.job_status(job_id) not in ("Done", "Failed"):
-                    time.sleep(0.001)
                 first = client.request(protocol.fetch_result(job_id))
                 assert first["kind"] == ("Result" if optimization_pass is None
                                          else "Error")
@@ -154,12 +179,29 @@ class TestServer:
 
     @pytest.mark.parametrize("optimization_pass", [None, _failing_pass],
                              ids=["done", "failed"])
+    def test_unfetched_result_evicted_after_ttl(self, optimization_pass):
+        srv = serve(result_ttl=0.05, optimization_pass=optimization_pass)
+        try:
+            with ResmanClient(srv.address) as client:
+                job_id = client.submit(emit_qasm(bell_circuit()), 10, 0)
+                assert srv._jobs[job_id].wait(timeout=30)
+                time.sleep(0.1)
+                client.ping()  # triggers the eviction sweep
+                assert srv._jobs == {}
+                with pytest.raises(ServerError) as exc:
+                    client.fetch(job_id)
+                assert exc.value.code == "UNKNOWN_JOB"
+        finally:
+            srv.shutdown()
+
+    @pytest.mark.parametrize("optimization_pass", [None, _failing_pass],
+                             ids=["done", "failed"])
     def test_waited_result_not_retained(self, optimization_pass):
         srv = serve(optimization_pass=optimization_pass)
         try:
             with ResmanClient(srv.address) as client:
-                reply = client.request(protocol.submit_job(
-                    emit_qasm(bell_circuit()), 10, 0, wait=True))
+                reply = client.request(protocol.submit_batch(
+                    [(emit_qasm(bell_circuit()), 10, 0)]))
                 if optimization_pass is None:
                     assert reply["kind"] == "Result"
                     assert sum(reply["counts"]) == 10
@@ -171,7 +213,7 @@ class TestServer:
                 with pytest.raises(ServerError) as exc:
                     client.fetch(1)
                 assert exc.value.code == "UNKNOWN_JOB"
-            assert srv._jobs == {} and srv._fetched_at == {}
+            assert srv._jobs == {}
         finally:
             srv.shutdown()
 
@@ -184,10 +226,11 @@ class TestServer:
         try:
             with ResmanClient(srv.address, timeout=10) as client:
                 timer.start()
-                with pytest.raises(ServerError) as exc:
-                    client.run(emit_qasm(bell_circuit()), 10, 0)
-                assert exc.value.code == "JOB_FAILED"
-                assert "shut down" in str(exc.value)
+                [outcome] = client.run_batch(
+                    [(emit_qasm(bell_circuit()), 10, 0)])
+                assert isinstance(outcome, ServerError)
+                assert outcome.code == "JOB_FAILED"
+                assert "shut down" in str(outcome)
         finally:
             timer.join(timeout=5)
             srv.shutdown()
@@ -198,10 +241,9 @@ class TestServer:
         try:
             with ResmanClient(srv.address) as client:
                 job_id = client.submit(emit_qasm(bell_circuit()), 10, 0)
-                deadline = time.monotonic() + 10
-                while client.job_status(job_id) != "Failed":
-                    assert time.monotonic() < deadline
-                    time.sleep(0.001)
+                with pytest.raises(ServerError) as exc:
+                    client.fetch(job_id)
+                assert exc.value.code == "JOB_FAILED"
             with pytest.raises(ServerError) as exc:
                 client_submit(srv.address, bell_circuit(), 10, 0)
             assert exc.value.code == "JOB_FAILED"
@@ -216,22 +258,15 @@ class TestServer:
             srv.shutdown()
 
     @pytest.mark.parametrize("request_msg", [
-        {"kind": "QueryStatus", "job_id": [1]},
         {"kind": "FetchResult", "job_id": [1]},
-        {"kind": "QueryStatus", "job_id": True},
         {"kind": "FetchResult", "job_id": True},
         {"kind": "SubmitJob", "qasm": emit_qasm(bell_circuit()),
          "shots": True, "seed": 0},
         {"kind": "SubmitJob", "qasm": emit_qasm(bell_circuit()),
          "shots": 10, "seed": False},
-        {"kind": "SubmitJob", "qasm": emit_qasm(bell_circuit()),
-         "shots": 10, "seed": 0, "wait": 1},
-        {"kind": "SubmitJob", "qasm": emit_qasm(bell_circuit()),
-         "shots": 10, "seed": 0, "wait": "yes"},
         {"kind": "SubmitJob", "qasm": 5, "shots": 10, "seed": 0},
         {"kind": "SubmitJob", "qasm": None, "shots": 10, "seed": 0},
-    ], ids=["status-list-id", "fetch-list-id", "status-bool-id",
-            "fetch-bool-id", "bool-shots", "bool-seed", "int-wait", "str-wait",
+    ], ids=["fetch-list-id", "fetch-bool-id", "bool-shots", "bool-seed",
             "int-qasm", "null-qasm"])
     def test_bad_field_type_rejected(self, server, request_msg):
         with ResmanClient(server.address) as client:
@@ -251,10 +286,8 @@ class TestServer:
         {"kind": "SubmitJob", "jobs": [[emit_qasm(bell_circuit()), 10, 0]]},
         {"kind": "SubmitJob", "qasm": emit_qasm(bell_circuit()), "jobs": [
             {"qasm": emit_qasm(bell_circuit()), "shots": 10, "seed": 0}]},
-        {"kind": "SubmitJob", "wait": False, "jobs": [
-            {"qasm": emit_qasm(bell_circuit()), "shots": 10, "seed": 0}]},
     ], ids=["null-jobs", "object-jobs", "empty-jobs", "int-entry",
-            "list-entry", "jobs-and-qasm", "jobs-and-wait"])
+            "list-entry", "jobs-and-qasm"])
     def test_malformed_batch_rejected_once(self, server, request_msg):
         with ResmanClient(server.address) as client:
             response = client.request(request_msg)
@@ -332,19 +365,6 @@ class TestServer:
         finally:
             srv.shutdown()
         assert len(seen) == 1
-
-
-class TestClientRun:
-    def test_waited_reply_equals_local_20_random(self, server):
-        rng = random.Random(2025)
-        with ResmanClient(server.address) as client:
-            for _ in range(20):
-                circuit = random_circuit(rng, rng.randint(1, 4),
-                                         rng.randint(1, 12))
-                seed = rng.randrange(2 ** 32)
-                histogram, wall = client.run(emit_qasm(circuit), 300, seed)
-                assert histogram == sim.run_and_sample(circuit, 300, seed)
-                assert wall >= 0
 
 
 class TestRemoteBackend:
@@ -628,22 +648,18 @@ class TestResultForm:
         entries = [(emit_qasm(circuit), shots, seed)
                    for circuit, shots, seed in jobs]
         with ResmanClient(server.address) as client:
-            waited = [client.request(protocol.submit_job(*entry, wait=True))
-                      for entry in entries]
+            # Each fetch is sent as soon as its job is accepted, and waits
+            # for the job.
+            fetched = [client.request(protocol.fetch_result(
+                client.submit(*entry))) for entry in entries]
             batched = [client.request(protocol.submit_batch(entries))]
             batched += [client._receive() for _ in entries[1:]]
-            job_id = client.submit(*entries[0])
-            # Early FetchResult is NOT_READY (docs/protocol.md, "Error codes").
-            while client.job_status(job_id) not in ("Done", "Failed"):
-                time.sleep(0.001)
-            fetched = [client.request(protocol.fetch_result(job_id))]
         forms = set()
-        for (circuit, shots, seed), *replies in zip(jobs, waited, batched,
-                                                    fetched + [None] * 19):
+        for (circuit, shots, seed), *replies in zip(jobs, fetched, batched):
             local = sim.run_and_sample(circuit, shots, seed)
             sparse = 2 * len(local.outcomes) < 1 << circuit.num_qubits
             forms.add(sparse)
-            for reply in filter(None, replies):
+            for reply in replies:
                 assert reply["kind"] == "Result", reply
                 assert ("outcomes" in reply) == sparse
                 if sparse:
@@ -672,10 +688,18 @@ class TestClientSubmit:
         srv = serve(latency=0.05)
         try:
             result = client_submit(srv.address, bell_circuit(), 100, 1)
-            # submit + at least one status poll + fetch, 50 ms each leg
+            # submit + fetch, 50 ms each leg
             assert result.wall_time >= 0.10
         finally:
             srv.shutdown()
+
+    def test_submit_then_fetch_only(self):
+        srv, counts = counting_server()
+        try:
+            client_submit(srv.address, bell_circuit(), 100, 1)
+        finally:
+            srv.shutdown()
+        assert counts == {"SubmitJob": 1, "FetchResult": 1, "connections": 1}
 
     def test_connection_refused(self):
         with pytest.raises(OSError):
