@@ -16,7 +16,7 @@ from .circuit import (
 )
 from .qasm import emit_qasm, parse_qasm
 from .qir import emit_qir
-from .runtime import Device, DeviceKind, DeviceRegistry, JobResult, JobStatus
+from .runtime import Device, DeviceKind, DeviceRegistry, JobResult
 from .sim import exact_probabilities, run_statevector, sample
 
 __version__ = "0.1.0"
@@ -25,7 +25,7 @@ __all__ = [
     "Circuit", "Gate", "GateKind", "Histogram", "bell_circuit",
     "create_circuit", "gate_matrix", "ghz3_circuit",
     "emit_qasm", "parse_qasm", "emit_qir",
-    "Device", "DeviceKind", "DeviceRegistry", "JobResult", "JobStatus",
+    "Device", "DeviceKind", "DeviceRegistry", "JobResult",
     "exact_probabilities", "run_statevector", "sample",
     "__version__",
 ]

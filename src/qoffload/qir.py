@@ -49,16 +49,11 @@ def _double(value: float) -> str:
     return f"{'-' if sign else ''}{body}e{exp10}"
 
 
-def _qubit_operand(index: int) -> str:
+def _static_pointer(kind: str, index: int) -> str:
+    """The `%Qubit*` or `%Result*` operand of a static index."""
     if index == 0:
-        return "%Qubit* null"
-    return f"%Qubit* inttoptr (i64 {index} to %Qubit*)"
-
-
-def _result_operand(index: int) -> str:
-    if index == 0:
-        return "%Result* null"
-    return f"%Result* inttoptr (i64 {index} to %Result*)"
+        return f"%{kind}* null"
+    return f"%{kind}* inttoptr (i64 {index} to %{kind}*)"
 
 
 def emit_qir(circuit: Circuit) -> str:
@@ -69,14 +64,14 @@ def emit_qir(circuit: Circuit) -> str:
         args = []
         if g.kind in PARAMETRIC_KINDS:
             args.append(f"double {_double(g.param)}")
-        args.extend(_qubit_operand(t) for t in g.targets)
+        args.extend(_static_pointer("Qubit", t) for t in g.targets)
         lines.append(
             f"  call void @__quantum__qis__{_QIR_NAMES[g.kind]}__body({', '.join(args)})"
         )
     for q in range(circuit.num_qubits):
         lines.append(
             f"  call void @__quantum__qis__mz__body("
-            f"{_qubit_operand(q)}, {_result_operand(q)})"
+            f"{_static_pointer('Qubit', q)}, {_static_pointer('Result', q)})"
         )
     lines.append("  ret void")
     lines.append("}")

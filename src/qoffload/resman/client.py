@@ -47,9 +47,18 @@ class ResmanClient:
 
     def request(self, msg: dict) -> dict:
         """Send one request and return its reply, or the first of its
-        replies for a `SubmitJob` with `jobs`."""
-        protocol.send_message(self._sock, msg)
-        return self._receive()
+        replies for a `SubmitJob` with `jobs`. Any exception but a
+        `MalformedMessageError`, which is raised only once its whole frame
+        was read, closes the connection: a reply that is late or half read
+        would otherwise answer the next request."""
+        try:
+            protocol.send_message(self._sock, msg)
+            return self._receive()
+        except protocol.MalformedMessageError:
+            raise
+        except BaseException:
+            self.close()
+            raise
 
     def _receive(self) -> dict:
         response = protocol.recv_message(self._sock)

@@ -88,11 +88,7 @@ def decode_frame(data: bytes) -> dict:
         raise TruncatedFrameError(
             f"frame declares {length} body bytes, only {len(data) - 4} present"
         )
-    try:
-        msg = json.loads(data[4:4 + length].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedMessageError(f"invalid frame body: {exc}") from exc
-    return validate_message(msg)
+    return _decode_body(data[4:4 + length])
 
 
 def send_message(sock: socket.socket, msg: dict) -> None:
@@ -110,7 +106,11 @@ def recv_message(sock: socket.socket) -> dict | None:
     body = _recv_exact(sock, length)
     if body is None and length > 0:
         raise TruncatedFrameError("connection closed mid-frame")
-    body = body or b""
+    return _decode_body(body or b"")
+
+
+def _decode_body(body: bytes) -> dict:
+    """The message a frame's body holds."""
     try:
         msg = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

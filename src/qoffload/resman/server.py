@@ -238,14 +238,11 @@ class ResourceManagerServer:
         self._worker.submit(job, handle)
         return handle
 
-    def _answer(self, handle: JobHandle) -> dict:
-        """A job's reply, a batch entry's or a fetch's, once it finished."""
-        handle.wait()
-        return self._finished_reply(handle)
-
     @staticmethod
-    def _finished_reply(handle: JobHandle) -> dict:
-        """A finished job's `Result`, or its `JOB_FAILED` `Error`."""
+    def _answer(handle: JobHandle) -> dict:
+        """A job's reply, a batch entry's or a fetch's, once it finished:
+        its `Result`, or its `JOB_FAILED` `Error`."""
+        handle.wait()
         if handle.error is not None:
             return protocol.error("JOB_FAILED", str(handle.error))
         result = handle.result

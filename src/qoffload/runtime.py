@@ -3,9 +3,10 @@
 Each registered device owns one worker thread draining a FIFO queue, so at
 most one job executes per device and submission order is completion order.
 `submit_sync` is the blocking target-region analogue; `submit_async` returns a
-handle (the `nowait` analogue) that any thread may poll or wait on, so
+handle (the `nowait` analogue) that any thread may wait on, so
 `submit_async` calls followed by a wait on each handle are `target nowait`
-regions followed by a `taskwait`.
+regions followed by a `taskwait`. A handle is settled once, with the job's
+result or the exception that failed it.
 
 When a worker wakes, it takes every job already queued as one batch and
 hands it to its backend's `run_batch`, which runs the jobs one by one with
@@ -22,7 +23,7 @@ import itertools
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .circuit import Circuit, DEFAULT_MAX_QUBITS, Histogram
@@ -53,13 +54,6 @@ class JobFailedError(RuntimeError_):
 class DeviceKind(Enum):
     LOCAL_SIMULATOR = "LocalSimulator"
     REMOTE = "Remote"
-
-
-class JobStatus(Enum):
-    QUEUED = "Queued"
-    RUNNING = "Running"
-    DONE = "Done"
-    FAILED = "Failed"
 
 
 @dataclass(frozen=True)
@@ -100,55 +94,32 @@ class JobResult:
 
 
 class JobHandle:
-    """Token for one asynchronous submission; shareable across threads."""
+    """Token for one asynchronous submission; shareable across threads.
+
+    Settled once: `result` holds the `JobResult` of a job that ran, or
+    `error` the exception that failed it, never both, and `finished_at` is
+    the `time.monotonic()` of the settling. Read them only after `wait`
+    returned True."""
 
     def __init__(self, job_id: int, device_name: str):
         self.job_id = job_id
         self.device_name = device_name
-        self._done = threading.Event()
-        self._lock = threading.Lock()
-        self._status = JobStatus.QUEUED
-        self._result: JobResult | None = None
-        self._error: Exception | None = None
-        # `time.monotonic()` when the job became Done or Failed.
+        self.result: JobResult | None = None
+        self.error: Exception | None = None
         self.finished_at: float | None = None
-
-    @property
-    def status(self) -> JobStatus:
-        with self._lock:
-            return self._status
+        self._settled = threading.Event()
 
     def wait(self, timeout: float | None = None) -> bool:
-        """Block until the job is Done or Failed; False on timeout."""
-        return self._done.wait(timeout)
+        """Block until the job is settled; False on timeout."""
+        return self._settled.wait(timeout)
 
-    @property
-    def result(self) -> JobResult | None:
-        """The result once the status is Done, else None."""
-        return self._result
-
-    @property
-    def error(self) -> Exception | None:
-        """The backend's exception once the status is Failed, else None."""
-        return self._error
-
-    def _set_running(self) -> None:
-        with self._lock:
-            self._status = JobStatus.RUNNING
-
-    def _finish(self, result: JobResult) -> None:
-        with self._lock:
-            self._status = JobStatus.DONE
-            self._result = result
-            self.finished_at = time.monotonic()
-        self._done.set()
-
-    def _fail(self, error: Exception) -> None:
-        with self._lock:
-            self._status = JobStatus.FAILED
-            self._error = error
-            self.finished_at = time.monotonic()
-        self._done.set()
+    def _settle(self, outcome: JobResult | Exception) -> None:
+        if isinstance(outcome, Exception):
+            self.error = outcome
+        else:
+            self.result = outcome
+        self.finished_at = time.monotonic()
+        self._settled.set()
 
 
 class Backend:
@@ -283,7 +254,7 @@ class DeviceWorker:
     """A device's FIFO queue of (Job, JobHandle) pairs and the thread that
     runs them on its backend. When the thread wakes, it takes every job
     already queued as one batch and passes it to the backend's `run_batch`,
-    finishing each handle as that job's outcome arrives. `stop` ends the
+    settling each handle as that job's outcome arrives. `stop` ends the
     thread after the queued jobs, a stop found while taking a batch only
     after that batch has run, and then calls the backend's `close`, if it
     has one."""
@@ -306,7 +277,7 @@ class DeviceWorker:
             if not self._stopped:
                 self.jobs.put((job, handle))
                 return
-        handle._fail(RuntimeError_(f"device {self.device.name!r} is shut down"))
+        handle._settle(RuntimeError_(f"device {self.device.name!r} is shut down"))
 
     def _run(self) -> None:
         while True:
@@ -333,7 +304,6 @@ class DeviceWorker:
         outcomes = self.backend.run_batch([job for job, _ in batch])
         error = None
         for job, handle in batch:
-            handle._set_running()
             started = time.monotonic()
             if error is None:
                 try:
@@ -343,17 +313,16 @@ class DeviceWorker:
                     outcome = error = exc
             else:
                 outcome = error
-            if isinstance(outcome, Exception):
-                handle._fail(outcome)
-                continue
-            finished = time.monotonic()
-            handle._finish(JobResult(
-                histogram=outcome,
-                wall_time=finished - job.submitted_at,
-                device_name=self.device.name,
-                started_at=started,
-                finished_at=finished,
-            ))
+            if not isinstance(outcome, Exception):
+                finished = time.monotonic()
+                outcome = JobResult(
+                    histogram=outcome,
+                    wall_time=finished - job.submitted_at,
+                    device_name=self.device.name,
+                    started_at=started,
+                    finished_at=finished,
+                )
+            handle._settle(outcome)
 
     def stop(self) -> None:
         with self._lock:
@@ -411,14 +380,11 @@ class DeviceRegistry:
         """Block until the job completes; idempotent per handle."""
         if not handle.wait(timeout):
             raise TimeoutError(f"job {handle.job_id} did not complete in {timeout}s")
-        if handle._error is not None:
+        if handle.error is not None:
             raise JobFailedError(
-                f"job {handle.job_id} on {handle.device_name!r} failed: {handle._error}"
-            ) from handle._error
-        return handle._result
-
-    def poll(self, handle: JobHandle) -> JobStatus:
-        return handle.status
+                f"job {handle.job_id} on {handle.device_name!r} failed: {handle.error}"
+            ) from handle.error
+        return handle.result
 
     def shutdown(self) -> None:
         with self._lock:

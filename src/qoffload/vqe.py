@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,10 +54,6 @@ class PauliTerm:
     @property
     def is_identity(self) -> bool:
         return set(self.operators) == {"I"}
-
-    def qubit_op(self, qubit: int) -> str:
-        n = len(self.operators)
-        return self.operators[n - 1 - qubit]
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,23 @@ class TestServer:
             assert reply["code"] == "JOB_FAILED"
             assert "pass rejected the circuit" in reply["message"]
 
+    def test_reply_timeout_closes_connection(self):
+        srv, _counts, entered, release = _held_server()
+        try:
+            with ResmanClient(srv.address, timeout=0.2) as client:
+                job_id = client.submit(emit_qasm(bell_circuit()), 100, 3)
+                assert entered.wait(timeout=30)
+                with pytest.raises(TimeoutError):
+                    client.fetch(job_id)
+                assert client._sock.fileno() == -1
+                release.set()
+                # The late Result must not answer the next request.
+                with pytest.raises(OSError):
+                    client.ping()
+        finally:
+            release.set()
+            srv.shutdown()
+
     @pytest.mark.parametrize("qasm", [
         "OPENQASM 2.0;\nqreg q[2;\n",
         QASM_HEADER + "qreg q[2];\ncreg c[2];\nry(1e999) q[0];\nmeasure q -> c;\n",

@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 
 import pytest
@@ -12,7 +13,6 @@ from qoffload.runtime import (
     DeviceRegistry,
     DuplicateDeviceError,
     JobFailedError,
-    JobStatus,
     LocalSimulatorBackend,
     UnknownDeviceError,
 )
@@ -71,10 +71,28 @@ class TestSubmitSync:
 class TestSubmitAsync:
     def test_handle_status_lifecycle(self, registry):
         handle = registry.submit_async("sim0", bell_circuit(), 100, 3)
-        assert registry.poll(handle) in (JobStatus.QUEUED, JobStatus.RUNNING,
-                                         JobStatus.DONE)
-        registry.wait(handle)
-        assert registry.poll(handle) is JobStatus.DONE
+        result = registry.wait(handle)
+        assert handle.wait(0)
+        assert handle.result is result and handle.error is None
+        assert handle.finished_at >= result.finished_at
+
+    def test_wait_timeout_on_unfinished_job(self):
+        backend = _GatedBackend()
+        registry = DeviceRegistry()
+        registry.register(Device("gated", DeviceKind.LOCAL_SIMULATOR), backend)
+        try:
+            handle = registry.submit_async("gated", bell_circuit(), 100, 3)
+            assert backend.entered.wait(timeout=30)
+            with pytest.raises(TimeoutError):
+                registry.wait(handle, timeout=0.05)
+            assert not handle.wait(0)
+            assert handle.result is None and handle.error is None
+            backend.release.set()
+            result = registry.wait(handle, timeout=30)
+            assert result.histogram == sim.run_and_sample(bell_circuit(), 100, 3)
+        finally:
+            backend.release.set()
+            registry.shutdown()
 
     def test_sync_async_equivalence(self, registry):
         rng = random.Random(17)
@@ -147,14 +165,45 @@ class TestSubmitAsync:
         t.join()
         assert sum(out["result"].histogram.counts) == 100
 
+    def test_every_waiter_sees_the_settled_outcome(self, registry):
+        # The worker stores a handle's outcome and then sets its event; a
+        # waiter on another thread must find the outcome once `wait` is
+        # True, even with the threads switching every few bytecodes.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            handles = [registry.submit_async("sim0", bell_circuit(), 10, seed)
+                       for seed in range(40)]
+            seen = [[] for _ in range(8)]
+
+            def waiter(out):
+                for handle in handles:
+                    out.append(handle.result if handle.wait(timeout=30)
+                               else None)
+
+            threads = [threading.Thread(target=waiter, args=(out,))
+                       for out in seen]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(h.error is None for h in handles)
+        expected = [registry.wait(h) for h in handles]
+        assert None not in expected
+        assert all(out == expected for out in seen)
+
     def test_remote_failure_propagates(self, registry):
         # nothing listens on this port
         registry.register(Device("qpu0", DeviceKind.REMOTE,
                                  endpoint=("127.0.0.1", 1)))
         handle = registry.submit_async("qpu0", bell_circuit(), 10, 0)
-        with pytest.raises(JobFailedError):
+        with pytest.raises(JobFailedError) as exc:
             registry.wait(handle)
-        assert registry.poll(handle) is JobStatus.FAILED
+        assert handle.result is None and handle.error is not None
+        assert exc.value.__cause__ is handle.error
 
 
 class _GatedBackend(LocalSimulatorBackend):
@@ -210,7 +259,7 @@ class TestBatches:
         assert not worker.thread.is_alive()
         assert backend.batches == [1, 4] and backend.closed
         for (circuit, shots, seed), handle in zip(jobs, handles):
-            assert handle.status is JobStatus.DONE
+            assert handle.wait(0) and handle.error is None
             assert handle.result.histogram == sim.run_and_sample(circuit, shots,
                                                                  seed)
 

@@ -8,7 +8,7 @@ import pytest
 from qoffload import sim, vqe
 from qoffload.circuit import GateKind, bell_circuit
 from qoffload.resman import serve
-from qoffload.runtime import Device, DeviceKind, DeviceRegistry, JobStatus
+from qoffload.runtime import Device, DeviceKind, DeviceRegistry
 from qoffload.vqe import (
     AnsatzSpec,
     Hamiltonian,
@@ -466,8 +466,10 @@ class TestSampledRemote:
                 optimize(H2MIN, AnsatzSpec(2, 2), config, registry)
             assert exc.value.energy_trace == []
             # Every job of the evaluation has finished; no handle waits.
-            assert [h.status for h in handles] == [
-                JobStatus.DONE, JobStatus.FAILED, JobStatus.DONE]
+            assert all(h.wait(0) for h in handles)
+            assert [h.error is None for h in handles] == [True, False, True]
+            assert all((h.result is None) != (h.error is None)
+                       for h in handles)
         finally:
             registry.shutdown()
             srv.shutdown()
