@@ -86,6 +86,8 @@ def _histogram_lines(counts, shots) -> list[str]:
 
 
 def cmd_bell(args) -> int:
+    if args.shots < 1:
+        raise CliError("--shots must be >= 1", EXIT_INPUT)
     registry, name, server = _make_registry(args)
     try:
         result = registry.submit_sync(name, bell_circuit(), args.shots, args.seed)
@@ -167,6 +169,8 @@ def cmd_vqe(args) -> int:
         raise CliError(f"cannot read {args.hamiltonian}: {exc}", EXIT_INPUT)
     except vqe_mod.VqeError as exc:
         raise CliError(f"bad Hamiltonian: {exc}", EXIT_INPUT)
+    if args.layers < 1:
+        raise CliError("--layers must be >= 1", EXIT_INPUT)
     spec = vqe_mod.AnsatzSpec(hamiltonian.num_qubits, args.layers)
     config = vqe_mod.VqeConfig(
         initial_theta=[args.theta0] * spec.num_parameters,

@@ -12,8 +12,10 @@ request and the evaluation pays one link latency leg.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,10 +137,6 @@ def build_ansatz_body(spec: AnsatzSpec, theta) -> Circuit:
     return circuit
 
 
-def build_ansatz(spec: AnsatzSpec, theta) -> Circuit:
-    return build_ansatz_body(spec, theta).measure()
-
-
 def basis_change(body: Circuit, operators: str) -> Circuit:
     """Rotate each non-Z axis into the measurement basis (X via H, Y via
     SDG then H), then finalize. `body` is left untouched."""
@@ -180,13 +178,6 @@ def _signs(index: np.ndarray, mask: int) -> np.ndarray:
     return np.where(bits & 1, -1.0, 1.0)
 
 
-def _parity_signs(num_qubits: int, operators: str) -> np.ndarray:
-    """+1/-1 per outcome index: parity of measured bits at the term's
-    non-identity positions."""
-    x, z = _pauli_masks(operators)
-    return _signs(np.arange(1 << num_qubits), x | z)
-
-
 def _pauli_expectation(state: np.ndarray, index: np.ndarray,
                        parity: np.ndarray, operators: str) -> float:
     """<psi|P|psi> read directly off the state, where `index` is
@@ -198,81 +189,85 @@ def _pauli_expectation(state: np.ndarray, index: np.ndarray,
     return float((1j ** operators.count("Y") * value).real)
 
 
-class _SeedStream:
-    """Deterministic per-job seed sequence derived from a base seed."""
-
-    def __init__(self, base: int):
-        self.base = int(base)
-        self.count = 0
-
-    def next(self) -> int:
-        seed = (self.base + self.count) & 0xFFFFFFFFFFFFFFFF
-        self.count += 1
-        return seed
+def _seed_stream(base: int) -> Iterator[int]:
+    """Deterministic per-job seeds: base, base + 1, ... modulo 2^64."""
+    return (seed & 0xFFFFFFFFFFFFFFFF for seed in itertools.count(int(base)))
 
 
 def estimate_expectation(hamiltonian: Hamiltonian, spec: AnsatzSpec, theta,
                          shots: int, registry: DeviceRegistry | None = None,
                          device_name: str | None = None,
-                         seeds: _SeedStream | int = 0) -> float:
-    """<H> at the given parameters. Identity terms contribute their
-    coefficient analytically. Exact mode simulates the ansatz once and reads
-    every other term off that statevector. Sampled mode submits one
-    basis-rotated device job per non-identity term, drawing seeds in term
-    order, before it waits for any; a failed job raises `JobFailedError`
-    once every job of the evaluation has finished. Terms are summed in term
-    order in both modes."""
+                         seeds: Iterator[int] | int = 0) -> float:
+    """<H> at the given parameters: identity terms add their coefficient,
+    every other term its coefficient times <P>, in term order. <P> is exact
+    when `shots == 0` and sampled on the device otherwise."""
     if spec.num_qubits != hamiltonian.num_qubits:
         raise VqeError("ansatz and Hamiltonian qubit counts differ")
-    if isinstance(seeds, int):
-        seeds = _SeedStream(seeds)
-    exact = shots == 0
-    if not exact and (registry is None or device_name is None):
-        raise VqeError("sampled mode requires a device")
-    if exact and registry is not None and device_name is not None:
-        if registry.device(device_name).kind is DeviceKind.REMOTE:
-            raise VqeError("exact mode is local-simulator only")
-
+    if shots < 0:
+        raise VqeError("shots must be >= 0")
     body = build_ansatz_body(spec, theta)
-    if exact and not all(term.is_identity for term in hamiltonian.terms):
-        state = sim.run_statevector(body)
-        index = np.arange(state.size)
-        parity = _signs(index, state.size - 1)
-    if not exact:
-        # The circuits are built first, so that the jobs are queued together
-        # and a remote device's worker finds them all in one batch.
-        circuits = [basis_change(body, term.operators)
-                    for term in hamiltonian.terms if not term.is_identity]
-        handles = [registry.submit_async(device_name, circuit, shots,
-                                         seeds.next())
-                   for circuit in circuits]
-        waited = iter(handles)
+    terms = [term for term in hamiltonian.terms if not term.is_identity]
+    if shots == 0:
+        values = _exact_values(body, terms, registry, device_name)
+    else:
+        values = _sampled_values(body, terms, shots, registry, device_name,
+                                 seeds)
+    values = iter(values)
     energy = 0.0
     for term in hamiltonian.terms:
-        if term.is_identity:
-            energy += term.coefficient
-            continue
-        if exact:
-            expectation = _pauli_expectation(state, index, parity,
-                                             term.operators)
-        else:
-            signs = _parity_signs(spec.num_qubits, term.operators)
-            try:
-                result = registry.wait(next(waited))
-            except JobFailedError:
-                # As at a `taskwait`, the evaluation ends only once all its
-                # jobs have.
-                for handle in handles:
-                    handle.wait()
-                raise
-            histogram = result.histogram
-            # Each partial sum is an integer of at most `shots`, so exact
-            # in any order: the dense sum's value, bit for bit.
-            expectation = float(
-                signs[np.asarray(histogram.outcomes)]
-                @ np.asarray(histogram.outcome_counts, dtype=float)) / shots
-        energy += term.coefficient * expectation
+        energy += (term.coefficient if term.is_identity
+                   else term.coefficient * next(values))
     return energy
+
+
+def _exact_values(body: Circuit, terms: list[PauliTerm],
+                  registry: DeviceRegistry | None,
+                  device_name: str | None) -> list[float]:
+    """<P> of each term, read off one local simulation of `body`."""
+    if registry is not None and device_name is not None:
+        if registry.device(device_name).kind is DeviceKind.REMOTE:
+            raise VqeError("exact mode is local-simulator only")
+    if not terms:
+        return []
+    state = sim.run_statevector(body)
+    index = np.arange(state.size)
+    parity = _signs(index, state.size - 1)
+    return [_pauli_expectation(state, index, parity, term.operators)
+            for term in terms]
+
+
+def _sampled_values(body: Circuit, terms: list[PauliTerm], shots: int,
+                    registry: DeviceRegistry | None, device_name: str | None,
+                    seeds: Iterator[int] | int) -> list[float]:
+    """<P> of each term from one basis-rotated job per term, seeds drawn in
+    term order. All are submitted (`target nowait`) before any is waited on
+    (`taskwait`); a failed job raises `JobFailedError` once every job has
+    finished."""
+    if registry is None or device_name is None:
+        raise VqeError("sampled mode requires a device")
+    if isinstance(seeds, int):
+        seeds = _seed_stream(seeds)
+    # The circuits are built first, so that the jobs are queued together and
+    # a remote device's worker finds them all in one batch.
+    circuits = [basis_change(body, term.operators) for term in terms]
+    handles = [registry.submit_async(device_name, circuit, shots, next(seeds))
+               for circuit in circuits]
+    try:
+        histograms = [registry.wait(handle).histogram for handle in handles]
+    except JobFailedError:
+        # As at a `taskwait`, the evaluation ends only once all its jobs have.
+        for handle in handles:
+            handle.wait()
+        raise
+    values = []
+    for term, histogram in zip(terms, histograms):
+        x, z = _pauli_masks(term.operators)
+        signs = _signs(np.asarray(histogram.outcomes), x | z)
+        # Each partial sum is an integer of at most `shots`, so exact in any
+        # order: the dense sum's value, bit for bit.
+        values.append(float(
+            signs @ np.asarray(histogram.outcome_counts, dtype=float)) / shots)
+    return values
 
 
 @dataclass
@@ -283,7 +278,6 @@ class VqeConfig:
     shots: int = 0
     seed: int = 0
     device_name: str | None = None
-    simplex_step: float = 0.5  # initial simplex displacement, radians
 
 
 @dataclass
@@ -319,6 +313,7 @@ class VqeReport:
 
 # Nelder-Mead coefficients: reflection, expansion, contraction, shrink.
 NM_ALPHA, NM_GAMMA, NM_RHO, NM_SIGMA = 1.0, 2.0, 0.5, 0.5
+NM_STEP = 0.5  # initial simplex displacement, radians
 
 
 def optimize(hamiltonian: Hamiltonian, spec: AnsatzSpec, config: VqeConfig,
@@ -331,7 +326,9 @@ def optimize(hamiltonian: Hamiltonian, spec: AnsatzSpec, config: VqeConfig,
             f"initial theta has {theta0.size} entries, "
             f"ansatz needs {spec.num_parameters}"
         )
-    seeds = _SeedStream(config.seed)
+    if not np.all(np.isfinite(theta0)):
+        raise VqeError("initial theta must be finite")
+    seeds = _seed_stream(config.seed)
     trace: list[float] = []
     round_trips: list[float] = []
 
@@ -353,7 +350,7 @@ def optimize(hamiltonian: Hamiltonian, spec: AnsatzSpec, config: VqeConfig,
     simplex = [theta0]
     for i in range(dim):
         vertex = theta0.copy()
-        vertex[i] += config.simplex_step
+        vertex[i] += NM_STEP
         simplex.append(vertex)
     values = [energy(v) for v in simplex]
 

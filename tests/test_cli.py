@@ -57,6 +57,12 @@ class TestBell:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shots", ["0", "-3"])
+    def test_shots_below_one_exit_3(self, capsys, shots):
+        assert main(["bell", "--shots", shots]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: --shots") and "Traceback" not in err
+
     def test_seed_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("QOFFLOAD_SEED", "13")
         main(["bell", "--shots", "500"])
@@ -138,6 +144,21 @@ class TestVqe:
 
     def test_missing_file_exit_3(self, capsys):
         assert main(["vqe", "/nonexistent/h.txt"]) == 3
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--layers", "0"], "--layers must be >= 1"),
+        (["--layers", "-1"], "--layers must be >= 1"),
+        (["--theta0", "nan"], "initial theta must be finite"),
+        (["--theta0", "inf"], "initial theta must be finite"),
+        (["--theta0=-inf", "--latency-ms", "0", "--shots", "8"],
+         "initial theta must be finite"),
+        (["--shots", "-5"], "shots must be >= 0"),
+        (["--shots", "-5", "--latency-ms", "0"], "shots must be >= 0"),
+    ])
+    def test_bad_flag_exit_3(self, h2min_file, capsys, flags, message):
+        assert main(["vqe", h2min_file, *flags]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
 
     def test_latency_increases_wall_time(self, h2min_file, capsys):
         times = []

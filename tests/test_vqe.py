@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -17,10 +18,10 @@ from qoffload.vqe import (
     VqeError,
     VqeAbortedError,
     VqeReport,
-    _parity_signs,
     _pauli_expectation,
+    _pauli_masks,
+    _signs,
     basis_change,
-    build_ansatz,
     build_ansatz_body,
     estimate_expectation,
     optimize,
@@ -66,30 +67,31 @@ class TestHamiltonian:
 
 class TestAnsatz:
     def test_ry_pi_flips_qubit(self):
-        circuit = build_ansatz(AnsatzSpec(1, 1), [math.pi])
+        circuit = build_ansatz_body(AnsatzSpec(1, 1), [math.pi])
         sv = sim.run_statevector(circuit)
         assert abs(abs(sv[1]) - 1.0) < 1e-12
 
     def test_zero_angles_leave_ground_state(self):
-        circuit = build_ansatz(AnsatzSpec(2, 1), [0.0, 0.0])
+        circuit = build_ansatz_body(AnsatzSpec(2, 1), [0.0, 0.0])
         sv = sim.run_statevector(circuit)
         assert abs(sv[0] - 1.0) < 1e-12
 
     def test_gate_count_and_order(self):
         rng = random.Random(8)
         theta = [rng.uniform(-3, 3) for _ in range(4)]
-        circuit = build_ansatz(AnsatzSpec(2, 2), theta)
+        circuit = build_ansatz_body(AnsatzSpec(2, 2), theta)
+        assert not circuit.measured
         kinds = [g.kind for g in circuit.gates]
         assert len(circuit.gates) == 8
         assert kinds == [GateKind.RY, GateKind.RY, GateKind.CX, GateKind.CX] * 2
 
     def test_single_qubit_has_no_ring(self):
-        circuit = build_ansatz(AnsatzSpec(1, 3), [0.1, 0.2, 0.3])
+        circuit = build_ansatz_body(AnsatzSpec(1, 3), [0.1, 0.2, 0.3])
         assert all(g.kind is GateKind.RY for g in circuit.gates)
 
     def test_length_mismatch(self):
         with pytest.raises(VqeError):
-            build_ansatz(AnsatzSpec(2, 2), [0.0])
+            build_ansatz_body(AnsatzSpec(2, 2), [0.0])
 
 
 class TestBasisChange:
@@ -126,12 +128,15 @@ class TestBasisChange:
             basis_change(body, "XYZ")
 
 
+def _support_mask(operators: str) -> int:
+    """Bit q set where the string acts on qubit q (character n - 1 - q)."""
+    n = len(operators)
+    return sum(1 << q for q in range(n) if operators[n - 1 - q] != "I")
+
+
 def _popcount_signs(num_qubits: int, operators: str) -> np.ndarray:
     """Reference parity signs: a Python popcount per outcome index."""
-    mask = 0
-    for q in range(num_qubits):
-        if operators[num_qubits - 1 - q] != "I":
-            mask |= 1 << q
+    mask = _support_mask(operators)
     ones = np.array([bin(k & mask).count("1") for k in range(1 << num_qubits)])
     return np.where(ones % 2 == 0, 1.0, -1.0)
 
@@ -142,9 +147,24 @@ class TestPauliEvaluation:
         for n in range(1, 13):
             for _ in range(4):
                 ops = "".join(rng.choice("IXYZ") for _ in range(n))
-                signs = _parity_signs(n, ops)
+                x, z = _pauli_masks(ops)
+                assert x | z == _support_mask(ops)
+                reference = _popcount_signs(n, ops)
+                signs = _signs(np.arange(1 << n), x | z)
                 assert signs.dtype == np.float64
-                assert np.array_equal(signs, _popcount_signs(n, ops))
+                assert np.array_equal(signs, reference)
+                # A histogram's sparse outcomes: a sorted subset.
+                outcomes = sorted(rng.sample(range(1 << n), rng.randint(1, n)))
+                assert np.array_equal(_signs(np.asarray(outcomes), x | z),
+                                      reference[outcomes])
+
+    def test_signs_fold_all_64_bits(self):
+        rng = random.Random(22)
+        index = [rng.getrandbits(63) for _ in range(200)]
+        for _ in range(20):
+            mask = rng.getrandbits(63)
+            expected = [(-1.0) ** bin(k & mask).count("1") for k in index]
+            assert _signs(np.asarray(index), mask).tolist() == expected
 
     def test_direct_expectation_matches_basis_rotated_route(self):
         # Random circuits over every gate kind give complex states, so
@@ -156,9 +176,9 @@ class TestPauliEvaluation:
             ops = "".join(rng.choice("IXYZ") for _ in range(n))
             state = sim.run_statevector(body)
             direct = _pauli_expectation(state, np.arange(state.size),
-                                        _parity_signs(n, "Z" * n), ops)
+                                        _popcount_signs(n, "Z" * n), ops)
             rotated = sim.run_statevector(basis_change(body, ops))
-            via_basis = float(_parity_signs(n, ops)
+            via_basis = float(_popcount_signs(n, ops)
                               @ sim.exact_probabilities(rotated))
             assert abs(direct - via_basis) < 1e-12
             dense = np.vdot(state, pauli_string_matrix(ops) @ state).real
@@ -292,6 +312,22 @@ class TestEstimateExpectation:
         with pytest.raises(VqeError, match="device"):
             estimate_expectation(H2MIN, AnsatzSpec(2, 1), [0.0, 0.0], shots=10)
 
+    @pytest.mark.parametrize("device", [None, "sim0"])
+    def test_negative_shots_rejected(self, registry, device):
+        with pytest.raises(VqeError, match="shots must be >= 0"):
+            estimate_expectation(H2MIN, AnsatzSpec(2, 1), [0.0, 0.0], -5,
+                                 registry, device)
+
+    @pytest.mark.parametrize("seed", [0, -7, 2 ** 64 - 2])
+    def test_job_seeds_count_up_modulo_2_64(self, registry, seed):
+        spec = AnsatzSpec(2, 1)
+        theta = [0.7, -0.4]
+        energy = estimate_expectation(H2MIN, spec, theta, 64, registry,
+                                      "sim0", seed)
+        reference = _per_term_energy(H2MIN, spec, theta, 64, registry,
+                                     "sim0", seed)
+        assert energy.hex() == reference.hex()
+
 
 class TestOptimize:
     def test_single_z_ground_state(self):
@@ -358,24 +394,62 @@ class TestOptimize:
         with pytest.raises(VqeError):
             optimize(H2MIN, AnsatzSpec(2, 2), config)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shots", [0, 16])
+    def test_non_finite_theta0_is_an_input_fault(self, registry, bad, shots):
+        config = VqeConfig(initial_theta=[0.1, bad], shots=shots,
+                           device_name="sim0" if shots else None)
+        with pytest.raises(VqeError, match="finite") as exc:
+            optimize(H2MIN, AnsatzSpec(2, 1), config, registry)
+        assert not isinstance(exc.value, VqeAbortedError)
+
+    @pytest.mark.parametrize("shots", [0, 64])
+    def test_each_evaluation_calls_the_module_global(self, monkeypatch,
+                                                     registry, shots):
+        # The benchmark times evaluations by replacing
+        # `vqe.estimate_expectation`; optimize must look the name up at each
+        # call. The first call swaps in a second wrapper, which a reference
+        # bound before the first call would never reach.
+        estimate = vqe.estimate_expectation
+        calls, returned = [], []
+
+        def wrapper(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                if name == "first":
+                    monkeypatch.setattr(vqe, "estimate_expectation",
+                                        wrapper("later"))
+                returned.append(estimate(*args, **kwargs))
+                return returned[-1]
+            return call
+
+        monkeypatch.setattr(vqe, "estimate_expectation", wrapper("first"))
+        config = VqeConfig(initial_theta=[0.1] * 4, max_iterations=5,
+                           tolerance=0.0, shots=shots, seed=3,
+                           device_name="sim0" if shots else None)
+        report = optimize(H2MIN, AnsatzSpec(2, 2), config, registry)
+        assert calls == ["first"] + ["later"] * (len(report.energy_trace) - 1)
+        assert returned == report.energy_trace
+
 
 def _per_term_energy(hamiltonian, spec, theta, shots, registry, device_name,
                      seeds=0):
     """Reference route for sampled mode: one `submit_sync` per non-identity
     term, each waited for before the next is submitted, seeds drawn and
-    terms summed in term order."""
+    terms summed in term order. `seeds` is the first job's seed, job i
+    getting (seeds + i) mod 2^64, or an iterator over the unreduced seeds."""
     if isinstance(seeds, int):
-        seeds = vqe._SeedStream(seeds)
+        seeds = itertools.count(seeds)
     body = build_ansatz_body(spec, theta)
     energy = 0.0
     for term in hamiltonian.terms:
         if term.is_identity:
             energy += term.coefficient
             continue
-        signs = _parity_signs(spec.num_qubits, term.operators)
+        signs = _popcount_signs(spec.num_qubits, term.operators)
         result = registry.submit_sync(device_name,
                                       basis_change(body, term.operators),
-                                      shots, seeds.next())
+                                      shots, next(seeds) % 2 ** 64)
         counts = np.asarray(result.histogram.counts, dtype=float)
         expectation = float(signs @ counts) / shots
         energy += term.coefficient * expectation
@@ -433,7 +507,15 @@ class TestSampledRemote:
                            tolerance=0.0, shots=512, seed=11,
                            device_name="qpu")
         batched = optimize(h, spec, config, registry)
-        monkeypatch.setattr(vqe, "estimate_expectation", _per_term_energy)
+        # The reference draws its own seeds: config.seed, config.seed + 1, ...
+        drawn = itertools.count(config.seed)
+
+        def reference_energy(h, spec, theta, shots, registry, device_name,
+                             seeds):
+            return _per_term_energy(h, spec, theta, shots, registry,
+                                    device_name, drawn)
+
+        monkeypatch.setattr(vqe, "estimate_expectation", reference_energy)
         config.device_name = "sim0"
         reference = optimize(h, spec, config, registry)
         assert ([e.hex() for e in batched.energy_trace]
