@@ -40,17 +40,30 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an input failure (exit 3);
+    argparse's own exit 2 is the code for a device failure."""
+
+    def error(self, message: str):
+        raise CliError(message, EXIT_INPUT)
+
+
 def _parse_endpoint(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        raise CliError(f"endpoint must be host:port, got {text!r}", EXIT_INPUT)
+    if not (sep and port.isascii() and port.isdigit() and len(port) <= 5
+            and int(port) <= 65535):
+        raise CliError(f"endpoint must be host:port with a port from 0 to "
+                       f"65535, got {text!r}", EXIT_INPUT)
     return host, int(port)
 
 
 def _env_default(args, attr: str, env: str, convert=str) -> None:
     # Flags win over environment variables.
     if getattr(args, attr, None) is None and os.environ.get(env):
-        setattr(args, attr, convert(os.environ[env]))
+        try:
+            setattr(args, attr, convert(os.environ[env]))
+        except ValueError as exc:
+            raise CliError(f"{env}: {exc}", EXIT_INPUT)
 
 
 def _make_registry(args) -> tuple[DeviceRegistry, str, object | None]:
@@ -152,10 +165,12 @@ def cmd_serve(args) -> int:
                               result_ttl=args.ttl_s)
     except OSError as exc:
         raise CliError(f"bind error on {args.bind}: {exc}", EXIT_SERVER)
-    print(f"listening on {server.address[0]}:{server.address[1]}", flush=True)
     stop = threading.Event()
+    # Installed before the address is printed: a client may signal as soon
+    # as it has read it.
     signal.signal(signal.SIGINT, lambda *a: stop.set())
     signal.signal(signal.SIGTERM, lambda *a: stop.set())
+    print(f"listening on {server.address[0]}:{server.address[1]}", flush=True)
     stop.wait()
     server.shutdown()  # drains the running job
     print("shut down", file=sys.stderr)
@@ -205,7 +220,7 @@ def cmd_vqe(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qoffload",
         description="Quantum task-offloading runtime: simulate, transpile, "
                     "serve a resource manager, run VQE.",
@@ -261,15 +276,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    _env_default(args, "endpoint", "QOFFLOAD_ENDPOINT")
-    _env_default(args, "seed", "QOFFLOAD_SEED", int)
-    if getattr(args, "seed", None) is None:
-        args.seed = 0
-    if getattr(args, "latency_ms", None) is not None and hasattr(args, "device") \
-            and args.command != "serve":
-        args.device = "qpu"
     try:
+        args = build_parser().parse_args(argv)
+        _env_default(args, "endpoint", "QOFFLOAD_ENDPOINT")
+        _env_default(args, "seed", "QOFFLOAD_SEED", int)
+        if getattr(args, "seed", None) is None:
+            args.seed = 0
+        if getattr(args, "latency_ms", None) is not None \
+                and hasattr(args, "device") and args.command != "serve":
+            args.device = "qpu"
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

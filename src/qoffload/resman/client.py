@@ -86,18 +86,15 @@ class ResmanClient:
     def run_batch(self, jobs):
         """Run (qasm, shots, seed) jobs as one `SubmitJob` request with
         `jobs`, and yield each job's outcome, in order, as its reply frame
-        arrives: its histogram and server-side wall time, or the exception
-        that fails it (the `ServerError` of its `Error` frame, or the
-        `MalformedMessageError` of a frame that is not a valid `Result`).
-        An `Error` that answers the whole request (`BAD_BATCH`, or
-        `BAD_FRAME` from a server that does not take `jobs`) is the last
-        frame of that request and fails every job it carries. A batch whose
-        request would exceed `MAX_FRAME_BYTES` is split into requests that
-        fit, sent one after another; a job too large for a request of its
-        own fails with `OversizedFrameError` and is not sent. A batch that
-        ends before its last frame was read, by an exception or by its
-        consumer, closes the connection, which would otherwise hand the
-        unread frames to the next request."""
+        arrives (see `_outcome`). An `Error` that answers the whole request
+        (`BAD_BATCH`, or `BAD_FRAME` from a server that does not take
+        `jobs`) is the last frame of that request and fails every job it
+        carries. A batch whose request would exceed `MAX_FRAME_BYTES` is
+        split into requests that fit, sent one after another; a job too
+        large for a request of its own fails with `OversizedFrameError` and
+        is not sent. A batch that ends before its last frame was read, by an
+        exception or by its consumer, closes the connection, which would
+        otherwise hand the unread frames to the next request."""
         for msg, count in _batch_requests(list(jobs)):
             if isinstance(msg, protocol.OversizedFrameError):
                 yield msg
@@ -105,25 +102,30 @@ class ResmanClient:
             unread = count
             try:
                 for index in range(count):
-                    try:
-                        response = self._receive() if index else self.request(msg)
-                    except protocol.MalformedMessageError as exc:
-                        # A whole frame that is not a valid message; the
-                        # next frame starts where it ended.
-                        response = exc
+                    outcome = self._outcome(None if index else msg)
                     unread -= 1
-                    if (not index and isinstance(response, dict)
-                            and response["kind"] == "Error"
-                            and response["code"] in _WHOLE_REQUEST):
+                    if (not index and isinstance(outcome, ServerError)
+                            and outcome.code in _WHOLE_REQUEST):
                         unread = 0
-                        error = ServerError(response["code"], response["message"])
-                        for _ in range(count):
-                            yield error
+                        yield from [outcome] * count
                         break
-                    yield _outcome(response)
+                    yield outcome
             finally:
                 if unread:
                     self.close()
+
+    def _outcome(self, msg: dict | None = None):
+        """A job's outcome from the next reply frame, read after sending
+        `msg` if one is given: its histogram, or the exception that fails
+        the job (the `ServerError` of an `Error` frame, or the
+        `MalformedMessageError` of a whole frame that is not a valid
+        `Result`, after which the next frame starts). A frame that cannot
+        be read raises."""
+        try:
+            return _histogram(self._receive() if msg is None
+                              else self.request(msg))[0]
+        except (ServerError, protocol.MalformedMessageError) as exc:
+            return exc
 
 
 # Error codes that answer a whole request, however many jobs it carries.
@@ -154,18 +156,6 @@ def _body_bound(jobs: list) -> int:
     field names, its numbers and punctuation, under 40 bytes besides."""
     return 40 + sum(12 * len(qasm) + 40 + len(str(shots)) + len(str(seed))
                     for qasm, shots, seed in jobs)
-
-
-def _outcome(response):
-    """A job's outcome from its reply frame, or from the exception that
-    reading the frame raised: its histogram and server-side wall time, or
-    the exception that fails it."""
-    if isinstance(response, Exception):
-        return response
-    try:
-        return _histogram(response)
-    except (ServerError, protocol.MalformedMessageError) as exc:
-        return exc
 
 
 def _histogram(response: dict) -> tuple[Histogram, float]:

@@ -10,12 +10,12 @@ result or the exception that failed it.
 
 When a worker wakes, it takes every job already queued as one batch and
 hands it to its backend's `run_batch`, which runs the jobs one by one with
-the backend's `run` and yields one outcome per job as each finishes. A
-remote device's backend holds one persistent resource-manager connection
-and sends the batch as one `SubmitJob` request carrying every job, so a
-batch costs one link latency leg however many jobs it carries. The device's
-worker thread is that connection's only user and closes it when the worker
-stops.
+the backend's `run` and yields each job's histogram, or the exception that
+failed it, as each finishes. A remote device's backend holds one persistent
+resource-manager connection and sends the batch as one `SubmitJob` request
+carrying every job, so a batch costs one link latency leg however many jobs
+it carries. The device's worker thread is that connection's only user; when
+the worker stops it calls its backend's `close`, which closes it.
 """
 from __future__ import annotations
 
@@ -130,10 +130,13 @@ class Backend:
         failed it, in order; a job runs only when its outcome is asked for."""
         for job in jobs:
             try:
-                outcome = self.run(job)
+                yield self.run(job)
             except Exception as exc:
-                outcome = exc
-            yield outcome
+                yield exc
+
+    def close(self) -> None:
+        """Release what the backend holds; the device's worker calls it
+        once, when it stops."""
 
 
 class LocalSimulatorBackend(Backend):
@@ -150,22 +153,22 @@ _REPLY_TIMEOUT = 120.0
 class RemoteBackend(Backend):
     """Executes jobs over the resource-manager wire protocol.
 
-    One connection, opened on the first job and kept open. `run_batch` runs
-    its jobs one by one through `run`, as the local simulator does, but the
-    first `run` of a batch sends every job of the batch as one `SubmitJob`
-    request (`ResmanClient.run_batch`), answered by one frame per job, and
-    each `run` then reads its own job's reply. Only the device's worker
-    thread calls `run`, `run_batch` and `close`, so the connection needs no
-    lock. A reused connection that fails before every reply arrived (EOF,
-    `OSError` or a broken frame) is reopened and the unanswered jobs are
-    resent once: a job is fully determined by its circuit, shots and seed,
-    so the resend returns the same histograms. A reply that does not arrive
-    within `_REPLY_TIMEOUT` seconds, or any other failure that is not
-    retried, fails the unanswered jobs and closes the connection, so no
-    unread reply of the batch answers a later job; the next batch opens a
-    new one. An `Error` frame, or a `Result` that is not a valid histogram
-    or whose qubit or shot count differs from its job's, fails only its
-    own job.
+    One connection, opened on the first job and kept open. `run_batch`
+    yields each job's histogram, or the exception that fails it, from `run`,
+    as the local simulator does, but the first `run` of a batch sends every
+    job of the batch as one `SubmitJob` request (`ResmanClient.run_batch`),
+    answered by one frame per job, and each `run` then reads its own job's
+    reply. Only the device's worker thread calls `run`, `run_batch` and
+    `close`, so the connection needs no lock. A reused connection that fails
+    before every reply arrived (EOF, `OSError` or a broken frame) is
+    reopened and the unanswered jobs are resent once: a job is fully
+    determined by its circuit, shots and seed, so the resend returns the
+    same histograms. A reply that does not arrive within `_REPLY_TIMEOUT`
+    seconds, or any other failure that is not retried, fails the unanswered
+    jobs and closes the connection, so no unread reply of the batch answers
+    a later job; the next batch opens a new one. An `Error` frame, or a
+    `Result` that is not a valid histogram or whose qubit or shot count
+    differs from its job's, fails only its own job.
     """
 
     def __init__(self, endpoint: tuple[str, int]):
@@ -176,10 +179,7 @@ class RemoteBackend(Backend):
 
     def run(self, job: Job) -> Histogram:
         """Run one job; inside `run_batch`, the next job of the batch."""
-        outcomes = self._outcomes
-        if outcomes is None:
-            outcomes = self._request([job])
-        outcome = next(outcomes)
+        outcome = next(self._outcomes or self._request([job]))
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
@@ -203,51 +203,39 @@ class RemoteBackend(Backend):
 
         entries = [(emit_qasm(job.circuit), job.shots, job.seed) for job in jobs]
         answered = 0
-        try:
-            while answered < len(entries):
-                reused = self._client is not None
-                if not reused:
+        retry = self._client is not None  # only a reused connection is retried
+        while answered < len(jobs):
+            try:
+                if self._client is None:
                     self._client = ResmanClient(self.endpoint,
                                                 timeout=_REPLY_TIMEOUT)
-                try:
-                    for outcome in self._client.run_batch(entries[answered:]):
-                        job = jobs[answered]
-                        answered += 1
-                        if isinstance(outcome, Exception):
-                            yield outcome
-                        elif (outcome[0].num_qubits, outcome[0].shots) != (
-                                job.circuit.num_qubits, job.shots):
-                            yield MalformedMessageError(
-                                f"Result of {outcome[0].num_qubits} qubits "
-                                f"and {outcome[0].shots} shots for a job of "
-                                f"{job.circuit.num_qubits} qubits and "
-                                f"{job.shots} shots")
-                        else:
-                            yield outcome[0]
-                except TimeoutError as exc:
-                    self.close()
-                    raise JobFailedError(
-                        f"no reply from {self.endpoint} within {_REPLY_TIMEOUT}s"
-                    ) from exc
-                except (OSError, ProtocolError):
-                    self.close()
-                    if not reused:  # only a reused connection gets a second try
-                        raise
-        except Exception as exc:
-            self.close()  # unread frames of this batch must not answer the next
-            for _ in range(answered, len(entries)):
-                yield exc
+                for outcome in self._client.run_batch(entries[answered:]):
+                    job = jobs[answered]
+                    answered += 1
+                    if not isinstance(outcome, Exception) and (
+                            outcome.num_qubits, outcome.shots) != (
+                            job.circuit.num_qubits, job.shots):
+                        outcome = MalformedMessageError(
+                            f"Result of {outcome.num_qubits} qubits and "
+                            f"{outcome.shots} shots for a job of "
+                            f"{job.circuit.num_qubits} qubits and "
+                            f"{job.shots} shots")
+                    yield outcome
+            except Exception as exc:
+                self.close()  # unread frames of this batch must not answer the next
+                if isinstance(exc, TimeoutError):
+                    exc = JobFailedError(f"no reply from {self.endpoint} "
+                                         f"within {_REPLY_TIMEOUT}s")
+                elif retry and isinstance(exc, (OSError, ProtocolError)):
+                    retry = False
+                    continue
+                yield from itertools.repeat(exc, len(jobs) - answered)
+                return
 
     def close(self) -> None:
         if self._client is not None:
             self._client.close()
             self._client = None
-
-
-def _default_backend(device: Device):
-    if device.kind is DeviceKind.LOCAL_SIMULATOR:
-        return LocalSimulatorBackend()
-    return RemoteBackend(device.endpoint)
 
 
 class DeviceWorker:
@@ -256,10 +244,9 @@ class DeviceWorker:
     already queued as one batch and passes it to the backend's `run_batch`,
     settling each handle as that job's outcome arrives. `stop` ends the
     thread after the queued jobs, a stop found while taking a batch only
-    after that batch has run, and then calls the backend's `close`, if it
-    has one."""
+    after that batch has run, and then calls the backend's `close`."""
 
-    def __init__(self, device: Device, backend):
+    def __init__(self, device: Device, backend: Backend):
         self.device = device
         self.backend = backend
         self.jobs: queue.Queue = queue.Queue()
@@ -295,24 +282,18 @@ class DeviceWorker:
             if batch:
                 self._run_batch(batch)
             if stopping:
-                close = getattr(self.backend, "close", None)
-                if close is not None:
-                    close()
+                self.backend.close()
                 return
 
     def _run_batch(self, batch: list) -> None:
         outcomes = self.backend.run_batch([job for job, _ in batch])
-        error = None
         for job, handle in batch:
             started = time.monotonic()
-            if error is None:
-                try:
-                    outcome = next(outcomes)
-                except Exception as exc:
-                    # The backend gave up on the jobs it had not answered.
-                    outcome = error = exc
-            else:
-                outcome = error
+            try:
+                outcome = next(outcomes)
+            except Exception as exc:
+                # The backend gave up on the jobs it had not answered.
+                outcome, outcomes = exc, itertools.repeat(exc)
             if not isinstance(outcome, Exception):
                 finished = time.monotonic()
                 outcome = JobResult(
@@ -338,13 +319,17 @@ class DeviceRegistry:
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
 
-    def register(self, device: Device, backend=None) -> None:
+    def register(self, device: Device, backend: Backend | None = None) -> None:
+        """Add a device run by `backend`; by default by the simulator or by a
+        `RemoteBackend` on the device's endpoint, as its kind says."""
+        if backend is None:
+            backend = (LocalSimulatorBackend()
+                       if device.kind is DeviceKind.LOCAL_SIMULATOR
+                       else RemoteBackend(device.endpoint))
         with self._lock:
             if device.name in self._workers:
                 raise DuplicateDeviceError(f"device {device.name!r} already registered")
-            self._workers[device.name] = DeviceWorker(
-                device, backend if backend is not None else _default_backend(device)
-            )
+            self._workers[device.name] = DeviceWorker(device, backend)
 
     def device(self, name: str) -> Device:
         worker = self._workers.get(name)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qoffload.cli import main
+from qoffload.cli import _parse_endpoint, main
 from qoffload.resman import ResmanClient, serve
 from qoffload.vqe import VqeReport
 
@@ -183,6 +183,56 @@ class TestVqe:
             assert len(doc["energy_trace"]) > 0
         finally:
             srv.shutdown()
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        ["vqe", "H", "--shots", "abc"],
+        ["vqe", "H", "--theta0", "-inf"],
+        ["bell", "--bogus"],
+        [],
+    ], ids=["non-int-shots", "flag-like-value", "unknown-flag",
+            "no-subcommand"])
+    def test_malformed_command_line_exit_3(self, capsys, argv):
+        # argparse would exit 2, the code for a device failure.
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "usage" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["bell", "--help"]])
+    def test_help_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["bell", "--device", "qpu", "--endpoint", "127.0.0.1:70000"],
+        ["bell", "--device", "qpu", "--endpoint", "127.0.0.1:65536"],
+        ["bell", "--device", "qpu", "--endpoint", "127.0.0.1:\u00b2"],
+        ["bell", "--device", "qpu", "--endpoint", "127.0.0.1:" + "9" * 5000],
+        ["serve", "--bind", "127.0.0.1:70000"],
+    ], ids=["endpoint-70000", "endpoint-65536", "superscript-digit",
+            "5000-digit-port", "bind-70000"])
+    def test_port_out_of_range_exit_3(self, capsys, argv):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: endpoint must be host:port")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, endpoint", [
+        ("127.0.0.1:0", ("127.0.0.1", 0)),
+        ("localhost:65535", ("localhost", 65535)),
+        ("host:07117", ("host", 7117)),
+    ])
+    def test_port_in_range_accepted(self, text, endpoint):
+        assert _parse_endpoint(text) == endpoint
+
+    def test_malformed_seed_env_var_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setenv("QOFFLOAD_SEED", "abc")
+        assert main(["bell", "--shots", "10"]) == 3
+        assert capsys.readouterr().err.startswith("error: QOFFLOAD_SEED")
 
 
 class TestServe:

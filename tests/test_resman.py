@@ -331,6 +331,18 @@ class TestServer:
         finally:
             srv.shutdown()
 
+    def test_batch_yields_each_jobs_histogram_or_error(self, server):
+        circuit = random_circuit(random.Random(9), 3, 8)
+        entries = [(emit_qasm(bell_circuit()), 100, 1),
+                   ("OPENQASM 2.0;\nqreg q[2;\n", 10, 2),
+                   (emit_qasm(circuit), 50, 3)]
+        with ResmanClient(server.address, timeout=30) as client:
+            first, failed, last = client.run_batch(entries)
+            client.ping()  # every frame of the batch was read
+        assert first == sim.run_and_sample(bell_circuit(), 100, 1)
+        assert isinstance(failed, ServerError) and failed.code == "PARSE"
+        assert last == sim.run_and_sample(circuit, 50, 3)
+
     @pytest.mark.parametrize("entry, code", [
         ({"shots": 10, "seed": 0}, "BAD_REQUEST"),
         ({"qasm": emit_qasm(bell_circuit()), "seed": 0}, "BAD_REQUEST"),
@@ -519,6 +531,33 @@ class TestRemoteBackend:
             result = registry.submit_sync("qpu", bell_circuit(), 500, 3)
             assert result.histogram == sim.run_and_sample(bell_circuit(), 500, 3)
             assert counts["connections"] == 2
+        finally:
+            registry.shutdown()
+            srv.shutdown()
+
+    def test_failed_resend_is_not_resent_again(self):
+        # Every SubmitJob after the first cuts its connection: the second
+        # job is sent on the reused connection, resent once on a new one,
+        # and then fails.
+        srv, counts = counting_server()
+        counted = srv._replies
+
+        def cut_after_first_submit(msg):
+            replies = counted(msg)
+            if msg["kind"] == "SubmitJob" and counts["SubmitJob"] > 1:
+                raise OSError("connection cut")  # the server closes it
+            return replies
+
+        srv._replies = cut_after_first_submit
+        registry = DeviceRegistry()
+        try:
+            registry.register(Device("qpu", DeviceKind.REMOTE,
+                                     endpoint=srv.address))
+            registry.submit_sync("qpu", bell_circuit(), 10, 0)
+            with pytest.raises(JobFailedError):
+                registry.submit_sync("qpu", bell_circuit(), 10, 1)
+            assert counts["connections"] == 2
+            assert counts["SubmitJob"] == 3
         finally:
             registry.shutdown()
             srv.shutdown()
