@@ -172,13 +172,6 @@ class Circuit:
         return Circuit(self.num_qubits, list(self.gates),
                        False if unmeasured else self.measured)
 
-    def __eq__(self, other):
-        if not isinstance(other, Circuit):
-            return NotImplemented
-        return (self.num_qubits == other.num_qubits
-                and self.gates == other.gates
-                and self.measured == other.measured)
-
 
 def create_circuit(num_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> Circuit:
     """New empty circuit over a register of the given size."""
@@ -197,9 +190,10 @@ class Histogram:
     least once, and `outcome_counts` how often each was; at most `shots`
     entries, however large the register. `counts` is the dense view, a
     tuple of 2^num_qubits Python ints indexed by outcome, built on first
-    access. `Histogram(counts, shots)` builds a histogram from dense counts,
-    `Histogram.from_outcomes` from the nonzero entries; histograms of the
-    same counts are equal however they were built.
+    access. `Histogram.from_outcomes` builds a histogram from the nonzero
+    entries and checks its invariants; `Histogram(counts, shots)` checks
+    dense counts' length, types and signs, then calls `from_outcomes`.
+    Histograms of the same counts are equal however they were built.
     """
 
     num_qubits: int
@@ -213,22 +207,16 @@ class Histogram:
         n = len(counts)
         if n < 2 or n & (n - 1):
             raise ValueError(f"counts length must be a power of two >= 2, got {n}")
-        if type(shots) is not int or shots < 1:
-            raise ValueError(f"shots must be a positive integer, got {shots!r}")
         # `type(x) is int` rejects bools and floats, as `from_outcomes` does.
         if not {*map(type, counts)} <= {int}:
             raise ValueError("counts must be integers")
         if min(counts) < 0:
             raise ValueError("negative count")
-        total = sum(counts)
-        if total != shots:
-            raise ValueError(f"counts sum {total} != shots {shots}")
+        sparse = Histogram.from_outcomes(n.bit_length() - 1,
+                                         compress(range(n), counts),
+                                         filter(None, counts), shots)
         # Fields are set through `__dict__`, past the frozen `__setattr__`.
-        self.__dict__.update(
-            num_qubits=n.bit_length() - 1,
-            outcomes=tuple(compress(range(n), counts)),
-            outcome_counts=tuple(filter(None, counts)), shots=shots,
-            _counts=counts)
+        self.__dict__.update(sparse.__dict__, _counts=counts)
 
     @classmethod
     def from_outcomes(cls, num_qubits: int, outcomes, counts,

@@ -78,7 +78,10 @@ def _make_registry(args) -> tuple[DeviceRegistry, str, object | None]:
     if latency_ms is not None:
         # Spin up a local service with the requested injected latency and
         # route jobs through the real wire protocol.
-        server = resman.serve(latency=latency_ms / 1000.0)
+        try:
+            server = resman.serve(latency=latency_ms / 1000.0)
+        except ValueError as exc:
+            raise CliError(str(exc), EXIT_INPUT)
         endpoint = server.address
     else:
         if args.endpoint is None:
@@ -163,6 +166,8 @@ def cmd_serve(args) -> int:
                               capacity=args.capacity,
                               latency=args.latency_ms / 1000.0,
                               result_ttl=args.ttl_s)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_INPUT)
     except OSError as exc:
         raise CliError(f"bind error on {args.bind}: {exc}", EXIT_SERVER)
     stop = threading.Event()

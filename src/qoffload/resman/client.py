@@ -159,19 +159,16 @@ def _body_bound(jobs: list) -> int:
 
 
 def _histogram(response: dict) -> tuple[Histogram, float]:
-    """A `Result`'s histogram, from its sparse or its dense form, and its
-    server-side wall time. An `Error` raises its `ServerError`; any other
-    reply, or a `Result` whose fields are not a valid histogram and wall
-    time, raises `MalformedMessageError`."""
+    """A `Result`'s histogram and its server-side wall time. An `Error`
+    raises its `ServerError`; any other reply, or a `Result` whose fields
+    are not a valid histogram and wall time, raises
+    `MalformedMessageError`."""
     if response["kind"] == "Error":
         raise ServerError(response["code"], response["message"])
     try:
-        if "outcomes" in response:
-            histogram = Histogram.from_outcomes(
-                response["num_qubits"], response["outcomes"],
-                response["counts"], response["shots"])
-        else:
-            histogram = Histogram(response["counts"], response["shots"])
+        histogram = Histogram.from_outcomes(
+            response["num_qubits"], response["outcomes"],
+            response["counts"], response["shots"])
         wall = response["server_wall_time"]
         if type(wall) not in (int, float):
             raise TypeError(f"server_wall_time must be a number, got {wall!r}")

@@ -3,9 +3,9 @@
 Every message is a JSON object with a "kind" discriminator. Requests:
 Ping, SubmitJob, FetchResult. Responses: Pong, Accepted, Result, Error.
 A FetchResult waits for its job to finish, as `taskwait` does, so no
-request asks for a job's status. A Result is dense (all 2^n counts) or
-sparse (the nonzero outcomes and their counts). See docs/protocol.md for
-the field-level contract.
+request asks for a job's status. A Result carries a histogram's nonzero
+outcomes and their counts. See docs/protocol.md for the field-level
+contract.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ REQUEST_KINDS = {
 RESPONSE_KINDS = {
     "Pong": (),
     "Accepted": ("job_id",),
-    "Result": ("counts", "shots", "server_wall_time"),
+    "Result": ("outcomes", "counts", "num_qubits", "shots", "server_wall_time"),
     "Error": ("code", "message"),
 }
 KNOWN_KINDS = {**REQUEST_KINDS, **RESPONSE_KINDS}
@@ -162,21 +162,11 @@ def accepted(job_id: int) -> dict:
     return {"kind": "Accepted", "job_id": job_id}
 
 
-def result(counts: list[int], shots: int, server_wall_time: float) -> dict:
-    """A dense Result: all 2^n counts, indexed by outcome."""
-    return {"kind": "Result", "counts": counts, "shots": shots,
-            "server_wall_time": server_wall_time}
-
-
-def histogram_result(histogram, server_wall_time: float) -> dict:
-    """A `circuit.Histogram`'s Result in the shorter form. A sparse Result,
-    the nonzero entries only, carries two numbers per nonzero outcome, a
-    dense one one number per outcome, so it is sparse when fewer than half
-    of the 2^n outcomes are nonzero."""
-    if 2 * len(histogram.outcomes) >= 1 << histogram.num_qubits:
-        return result(histogram.counts, histogram.shots, server_wall_time)
-    return {"kind": "Result", "outcomes": histogram.outcomes,
-            "counts": histogram.outcome_counts,
+def result(histogram, server_wall_time: float) -> dict:
+    """A `circuit.Histogram`'s Result: its nonzero outcomes and their
+    counts, at most `shots` pairs however large the register."""
+    return {"kind": "Result", "outcomes": list(histogram.outcomes),
+            "counts": list(histogram.outcome_counts),
             "num_qubits": histogram.num_qubits, "shots": histogram.shots,
             "server_wall_time": server_wall_time}
 

@@ -9,15 +9,14 @@ The job is retained, and can be fetched again, until `result_ttl` seconds
 after it finished, fetched or not. A `SubmitJob` carrying several jobs in
 `jobs` has each of them queued and answered as a fetch is, one frame per
 job, so a batch of jobs costs one request; its jobs are not retained. A
-`Result` is sent sparse, holding only the histogram's nonzero (outcome,
-count) pairs, at most `shots` of them, when fewer than half of its 2^n
-outcomes are nonzero, and dense, holding all 2^n counts, otherwise. A
+`Result` holds the histogram's nonzero (outcome, count) pairs. A
 configurable one-way delay is slept before each request is processed,
 modelling the link latency of a remote (off-premise) device.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import socket
 import threading
 import time
@@ -58,8 +57,9 @@ class ResourceManagerServer:
                  latency: float = 0.0,
                  result_ttl: float = 600.0,
                  optimization_pass=None):
-        if latency < 0:
-            raise ValueError("latency must be >= 0")
+        for name, value in (("latency", latency), ("result_ttl", result_ttl)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be a finite number >= 0")
         device = Device("resman", DeviceKind.LOCAL_SIMULATOR, capacity)
         self.capacity = capacity
         self.latency = latency
@@ -246,7 +246,7 @@ class ResourceManagerServer:
         if handle.error is not None:
             return protocol.error("JOB_FAILED", str(handle.error))
         result = handle.result
-        return protocol.histogram_result(
+        return protocol.result(
             result.histogram, result.finished_at - result.started_at)
 
     def _evict_finished(self) -> None:

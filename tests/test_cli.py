@@ -57,6 +57,12 @@ class TestBell:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("latency_ms", ["-5", "nan", "inf"])
+    def test_bad_latency_exit_3(self, capsys, latency_ms):
+        assert main(["bell", "--shots", "1", "--latency-ms", latency_ms]) == 3
+        assert capsys.readouterr().err == (
+            "error: latency must be a finite number >= 0\n")
+
     @pytest.mark.parametrize("shots", ["0", "-3"])
     def test_shots_below_one_exit_3(self, capsys, shots):
         assert main(["bell", "--shots", shots]) == 3
@@ -283,3 +289,22 @@ class TestServe:
             assert "bind error" in proc.stderr
         finally:
             sock.close()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--capacity", "0"], "capacity must be >= 1"),
+        (["--latency-ms", "-5"], "latency must be a finite number >= 0"),
+        (["--latency-ms", "nan"], "latency must be a finite number >= 0"),
+        (["--latency-ms", "inf"], "latency must be a finite number >= 0"),
+        (["--ttl-s", "-1"], "result_ttl must be a finite number >= 0"),
+        (["--ttl-s", "nan"], "result_ttl must be a finite number >= 0"),
+        (["--ttl-s", "inf"], "result_ttl must be a finite number >= 0"),
+    ])
+    def test_bad_flag_exit_3(self, flags, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qoffload.cli", "serve",
+             "--bind", "127.0.0.1:0", *flags],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""  # exited before `listening on`
+        assert proc.stderr == f"error: {message}\n"

@@ -5,6 +5,7 @@ import struct
 
 import pytest
 
+from qoffload.circuit import Histogram
 from qoffload.resman import protocol
 
 
@@ -19,9 +20,12 @@ def _random_message(rng: random.Random) -> dict:
     if kind == "Accepted":
         return protocol.accepted(rng.randrange(2 ** 63))
     if kind == "Result":
-        n = 2 ** rng.randint(1, 4)
-        counts = [rng.randint(0, 100) for _ in range(n)]
-        return protocol.result(counts, max(1, sum(counts)), rng.random())
+        n = rng.randint(1, 4)
+        outcomes = sorted(rng.sample(range(2 ** n), rng.randint(1, 2 ** n)))
+        counts = [rng.randint(1, 100) for _ in outcomes]
+        return protocol.result(
+            Histogram.from_outcomes(n, outcomes, counts, sum(counts)),
+            rng.random())
     if kind == "Error":
         return protocol.error(rng.choice(["PARSE", "UNKNOWN_JOB", "CAPACITY"]),
                               "".join(rng.choices(string.ascii_letters, k=20)))

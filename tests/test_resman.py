@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import random
 import select
 import socket
@@ -53,6 +54,14 @@ class TestServer:
     def test_ping_pong(self, server):
         with ResmanClient(server.address) as client:
             client.ping()
+
+    @pytest.mark.parametrize("value", [-1, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["latency", "result_ttl"])
+    def test_latency_and_ttl_must_be_finite_and_not_negative(self, name,
+                                                              value):
+        with pytest.raises(ValueError,
+                           match=f"{name} must be a finite number >= 0"):
+            serve(**{name: value})
 
     def test_submit_and_fetch_matches_local(self, server):
         with ResmanClient(server.address) as client:
@@ -379,7 +388,7 @@ class TestServer:
         for (circuit, shots, seed), reply in zip(siblings, replies[::2]):
             assert reply["kind"] == "Result"
             local = sim.run_and_sample(circuit, shots, seed)
-            assert reply["counts"] == list(local.counts)
+            assert client_module._histogram(reply)[0] == local
 
     def test_optimization_pass_hook_runs(self):
         seen = []
@@ -607,13 +616,12 @@ class TestRemoteBackend:
 
 
     def test_result_too_large_dense_fits_sparse(self, monkeypatch):
-        # The scaled-down form of a 23-qubit job: its dense Result would
-        # exceed the frame limit, its sparse one does not.
+        # The scaled-down form of a 23-qubit job: its 2^n counts would
+        # exceed the frame limit, its Result of nonzero outcomes does not.
         monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 2000)
         circuit = random_circuit(random.Random(5), 10, 4)
         local = sim.run_and_sample(circuit, 10, 0)
-        with pytest.raises(protocol.OversizedFrameError):
-            protocol.encode_frame(protocol.result(local.counts, 10, 0.0))
+        assert len(json.dumps(local.counts)) > protocol.MAX_FRAME_BYTES
         srv = serve()
         registry = DeviceRegistry()
         try:
@@ -633,18 +641,21 @@ class TestRemoteBackend:
         lambda r: dict(r, counts=[0, r["counts"][0] + r["counts"][1],
                                   *r["counts"][2:]]),
         lambda r: dict(r, counts=[r["counts"][0] + 1, *r["counts"][1:]]),
-        lambda r: protocol.result([1] + [0] * 7, 10, 0.0),
         lambda r: {k: v for k, v in r.items() if k != "server_wall_time"},
         lambda r: dict(r, server_wall_time="0.1"),
         # Valid histograms, but not of the job they answer.
         lambda r: dict(r, num_qubits=r["num_qubits"] + 1),
         lambda r: dict(r, counts=[r["counts"][0] + 1, *r["counts"][1:]],
                        shots=r["shots"] + 1),
-        lambda r: protocol.result([10] + [0] * 7, 10, 0.0),
+        # The dense form of an older server: all 2^n counts, no `outcomes`
+        # and no `num_qubits`.
+        lambda r: {"kind": "Result",
+                   "counts": list(client_module._histogram(r)[0].counts),
+                   "shots": r["shots"],
+                   "server_wall_time": r["server_wall_time"]},
     ], ids=["unsorted", "duplicate", "out-of-range", "length-mismatch",
-            "zero-count", "sum-not-shots", "dense-sum-not-shots",
-            "missing-wall-time", "str-wall-time", "wrong-num-qubits",
-            "wrong-shots", "dense-wrong-num-qubits"])
+            "zero-count", "sum-not-shots", "missing-wall-time",
+            "str-wall-time", "wrong-num-qubits", "wrong-shots", "dense-form"])
     def test_malformed_result_fails_only_its_job(self, corrupt):
         # A server whose first request gets its first reply corrupted.
         srv = serve()
@@ -701,6 +712,11 @@ class TestResultForm:
         jobs = [(random_circuit(rng, rng.randint(1, 7), rng.randint(1, 12)),
                  rng.randint(1, 80), rng.randrange(2 ** 32))
                 for _ in range(20)]
+        # Every outcome measured, as in a 4-qubit sampled VQE term job.
+        spread = create_circuit(4)
+        for q in range(4):
+            spread.h(q)
+        jobs.append((spread.measure(), 1024, 7))
         entries = [(emit_qasm(circuit), shots, seed)
                    for circuit, shots, seed in jobs]
         with ResmanClient(server.address) as client:
@@ -710,24 +726,17 @@ class TestResultForm:
                 client.submit(*entry))) for entry in entries]
             batched = [client.request(protocol.submit_batch(entries))]
             batched += [client._receive() for _ in entries[1:]]
-        forms = set()
+        assert len(sim.run_and_sample(*jobs[-1]).outcomes) == 16
         for (circuit, shots, seed), *replies in zip(jobs, fetched, batched):
             local = sim.run_and_sample(circuit, shots, seed)
-            sparse = 2 * len(local.outcomes) < 1 << circuit.num_qubits
-            forms.add(sparse)
             for reply in replies:
                 assert reply["kind"] == "Result", reply
-                assert ("outcomes" in reply) == sparse
-                if sparse:
-                    assert reply["outcomes"] == list(local.outcomes)
-                    assert reply["counts"] == list(local.outcome_counts)
-                    assert reply["num_qubits"] == circuit.num_qubits
-                else:
-                    assert reply["counts"] == list(local.counts)
+                assert reply["outcomes"] == list(local.outcomes)
+                assert reply["counts"] == list(local.outcome_counts)
+                assert reply["num_qubits"] == circuit.num_qubits
                 assert reply["shots"] == shots
                 assert reply["server_wall_time"] >= 0
                 assert client_module._histogram(reply)[0] == local
-        assert forms == {True, False}  # both forms were sent
 
 
 class TestClientSubmit:
