@@ -4,6 +4,9 @@ A circuit is an ordered list of gates over a single n-qubit register, plus a
 terminal full-register measurement marker. Once measured, a circuit is frozen
 and ready to be offloaded. Outcome bit ordering: qubit i contributes 2^i to the
 outcome index (qubit 0 least-significant).
+
+`gate_rows` alone defines the gate set, as rows of Python complex numbers;
+`gate_matrix` is its numpy array form.
 """
 from __future__ import annotations
 
@@ -263,44 +266,62 @@ class Histogram:
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_FIXED_MATRICES = {
-    GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2,
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
-    GateKind.SDG: np.array([[1, 0], [0, -1j]], dtype=complex),
-    GateKind.T: np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
-    GateKind.TDG: np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
-    GateKind.CX: np.array([[1, 0, 0, 0],
-                           [0, 1, 0, 0],
-                           [0, 0, 0, 1],
-                           [0, 0, 1, 0]], dtype=complex),
-    GateKind.CZ: np.diag([1, 1, 1, -1]).astype(complex),
-    GateKind.SWAP: np.array([[1, 0, 0, 0],
-                             [0, 0, 1, 0],
-                             [0, 1, 0, 0],
-                             [0, 0, 0, 1]], dtype=complex),
+_T_PHASE = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))  # e^(i pi/4)
+
+
+def _complex_rows(*rows) -> tuple[tuple[complex, ...], ...]:
+    return tuple(tuple(complex(x) for x in row) for row in rows)
+
+
+_FIXED_ROWS = {
+    GateKind.H: _complex_rows((_INV_SQRT2, _INV_SQRT2),
+                              (_INV_SQRT2, -_INV_SQRT2)),
+    GateKind.X: _complex_rows((0, 1), (1, 0)),
+    GateKind.Y: _complex_rows((0, -1j), (1j, 0)),
+    GateKind.Z: _complex_rows((1, 0), (0, -1)),
+    GateKind.S: _complex_rows((1, 0), (0, 1j)),
+    GateKind.SDG: _complex_rows((1, 0), (0, -1j)),
+    GateKind.T: _complex_rows((1, 0), (0, _T_PHASE)),
+    GateKind.TDG: _complex_rows((1, 0), (0, _T_PHASE.conjugate())),
+    GateKind.CX: _complex_rows((1, 0, 0, 0),
+                               (0, 1, 0, 0),
+                               (0, 0, 0, 1),
+                               (0, 0, 1, 0)),
+    GateKind.CZ: _complex_rows((1, 0, 0, 0),
+                               (0, 1, 0, 0),
+                               (0, 0, 1, 0),
+                               (0, 0, 0, -1)),
+    GateKind.SWAP: _complex_rows((1, 0, 0, 0),
+                                 (0, 0, 1, 0),
+                                 (0, 1, 0, 0),
+                                 (0, 0, 0, 1)),
 }
 
 
-def gate_matrix(kind: GateKind, param: float | None = None) -> np.ndarray:
-    """Conventional unitary for a gate kind (2x2, or 4x4 in |q1 q0> order
-    with the first target as the high bit for controlled gates). The
-    simulator applies every gate through this matrix and relies on that."""
+def gate_rows(kind: GateKind,
+              param: float | None = None) -> tuple[tuple[complex, ...], ...]:
+    """Conventional unitary for a gate kind, as a tuple of rows of Python
+    complex numbers (2x2, or 4x4 in |q1 q0> order with the first target as
+    the high bit for controlled gates). This alone defines the gate set:
+    the simulator applies every gate through these rows."""
     if kind in PARAMETRIC_KINDS:
         if param is None:
             raise GateParameterError(f"{kind.value} requires a parameter")
         t = param / 2.0
         c, s = math.cos(t), math.sin(t)
         if kind is GateKind.RX:
-            return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+            return (complex(c), -1j * s), (-1j * s, complex(c))
         if kind is GateKind.RY:
-            return np.array([[c, -s], [s, c]], dtype=complex)
-        return np.array([[np.exp(-1j * t), 0], [0, np.exp(1j * t)]], dtype=complex)
+            return (complex(c), complex(-s)), (complex(s), complex(c))
+        return (complex(c, -s), 0j), (0j, complex(c, s))
     if param is not None:
         raise GateParameterError(f"{kind.value} takes no parameter")
-    return _FIXED_MATRICES[kind].copy()
+    return _FIXED_ROWS[kind]
+
+
+def gate_matrix(kind: GateKind, param: float | None = None) -> np.ndarray:
+    """`gate_rows` as a fresh complex numpy array."""
+    return np.array(gate_rows(kind, param), dtype=complex)
 
 
 def bell_circuit() -> Circuit:

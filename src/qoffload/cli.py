@@ -191,7 +191,10 @@ def cmd_vqe(args) -> int:
         raise CliError(f"bad Hamiltonian: {exc}", EXIT_INPUT)
     if args.layers < 1:
         raise CliError("--layers must be >= 1", EXIT_INPUT)
-    spec = vqe_mod.AnsatzSpec(hamiltonian.num_qubits, args.layers)
+    try:
+        spec = vqe_mod.AnsatzSpec(hamiltonian.num_qubits, args.layers)
+    except vqe_mod.VqeError as exc:
+        raise CliError(str(exc), EXIT_INPUT)
     config = vqe_mod.VqeConfig(
         initial_theta=[args.theta0] * spec.num_parameters,
         max_iterations=args.max_iters,

@@ -5,13 +5,16 @@ probability distribution. Sampling uses numpy's PCG64 generator so a (state,
 shots, seed) triple is reproducible across runs and machines.
 
 One kernel, `apply_gate`, applies every gate kind through its unitary from
-`circuit.gate_matrix`, which alone defines the gate set.
+`circuit.gate_rows`, which alone defines the gate set (`circuit.gate_matrix`
+is its array form). The view layout of a gate depends only on its targets
+and the register size, so it is computed once per pair and cached.
 
 Amplitude index k encodes the basis state with qubit i at bit i of k
 (qubit 0 least-significant), matching the histogram outcome convention.
 """
 from __future__ import annotations
 
+import functools
 from itertools import product
 
 import numpy as np
@@ -22,7 +25,7 @@ from .circuit import (
     Gate,
     Histogram,
     SizeOutOfRangeError,
-    gate_matrix,
+    gate_rows,
 )
 
 # Probabilities below this are treated as exact zeros when sampling, so
@@ -46,8 +49,25 @@ def initial_state(num_qubits: int) -> np.ndarray:
     return state
 
 
+@functools.lru_cache(maxsize=1024)
+def _view_layout(targets: tuple[int, ...], num_qubits: int):
+    """Reshape shape and transpose axes that view a 2^n state with one
+    length-2 axis per target, the targets leading in gate order (the shape
+    is high bits, target, middle bits, target, low bits), and the index of
+    each block of that view, in row order."""
+    descending = sorted(targets, reverse=True)
+    shape, rest = [], num_qubits
+    for q in descending:
+        shape += (1 << (rest - q - 1), 2)
+        rest = q
+    shape.append(1 << rest)
+    axes = (*[2 * descending.index(q) + 1 for q in targets],
+            *range(0, len(shape), 2))
+    return tuple(shape), axes, tuple(product((0, 1), repeat=len(targets)))
+
+
 def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int) -> None:
-    """Apply one gate in place from its `gate_matrix` unitary, in O(2^n).
+    """Apply one gate in place from its `gate_rows` unitary, in O(2^n).
 
     The state is viewed with one length-2 axis per target, so block r holds
     the amplitudes whose target bits spell r (first target high). Only the
@@ -56,18 +76,11 @@ def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int) -> None:
     place: CX and SWAP move two quarter-blocks, CZ negates one, Z/S/T/RZ
     touch one half.
     """
-    descending = sorted(gate.targets, reverse=True)
-    shape, rest = [], num_qubits
-    for q in descending:  # (high bits, target, middle bits, target, low bits)
-        shape += (1 << (rest - q - 1), 2)
-        rest = q
-    shape.append(1 << rest)
-    view = state.reshape(shape).transpose(
-        *[2 * descending.index(q) + 1 for q in gate.targets],
-        *range(0, len(shape), 2))
-    blocks = [view[bits] for bits in product((0, 1), repeat=len(descending))]
+    shape, axes, block_bits = _view_layout(gate.targets, num_qubits)
+    view = state.reshape(shape).transpose(axes)
+    blocks = [view[bits] for bits in block_bits]
     updates = []
-    for r, row in enumerate(gate_matrix(gate.kind, gate.param).tolist()):
+    for r, row in enumerate(gate_rows(gate.kind, gate.param)):
         if row.count(0) == len(row) - 1 and row[r]:
             if row[r] != 1:  # unitary, so no other row reads block r
                 blocks[r] *= row[r]

@@ -4,7 +4,9 @@ Hardware-efficient ansatz (one RY per qubit per layer, CX ring entanglers),
 Pauli-sum expectation estimation and a Nelder-Mead variational loop.
 Shots = 0 selects exact (shot-free) expectation values on the local
 simulator, used for optimizer validation: the ansatz is simulated once per
-parameter vector and every Pauli term is read off that one statevector.
+parameter vector and every Pauli term is read off that one statevector,
+through a gather index and a weight row per term that are built once per
+Hamiltonian and register size (kept within a fixed byte budget).
 Sampled mode is the device-faithful path: one basis-rotated job per term,
 all submitted before any is waited on (`target nowait` regions, then a
 `taskwait`), so a remote device runs an evaluation's jobs as one batch
@@ -14,14 +16,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import sim
-from .circuit import Circuit, create_circuit
+from .circuit import DEFAULT_MAX_QUBITS, Circuit, create_circuit
 from .runtime import DeviceKind, DeviceRegistry, JobFailedError
 
 PAULI_CHARS = frozenset("IXYZ")
@@ -110,8 +113,11 @@ class AnsatzSpec:
     layers: int
 
     def __post_init__(self):
-        if self.num_qubits < 1 or self.layers < 1:
-            raise VqeError("num_qubits and layers must be >= 1")
+        if not 1 <= self.num_qubits <= DEFAULT_MAX_QUBITS:
+            raise VqeError(f"num_qubits must be in [1, {DEFAULT_MAX_QUBITS}], "
+                           f"got {self.num_qubits}")
+        if self.layers < 1:
+            raise VqeError("layers must be >= 1")
 
     @property
     def num_parameters(self) -> int:
@@ -178,15 +184,58 @@ def _signs(index: np.ndarray, mask: int) -> np.ndarray:
     return np.where(bits & 1, -1.0, 1.0)
 
 
-def _pauli_expectation(state: np.ndarray, index: np.ndarray,
-                       parity: np.ndarray, operators: str) -> float:
-    """<psi|P|psi> read directly off the state, where `index` is
-    arange(len(state)) and `parity` is (-1)^popcount(index).
-    P|k> = i^nY (-1)^popcount(k & z) |k ^ x>, so
-    <P> = i^nY sum_k (-1)^popcount(k & z) conj(psi[k ^ x]) psi[k]."""
-    x, z = _pauli_masks(operators)
-    value = np.vdot(state[index ^ x], parity[index & z] * state)
-    return float((1j ** operators.count("Y") * value).real)
+# Term rows cost 24 bytes per amplitude per term (an int64 gather index and a
+# complex weight), so a process keeps them only within this fixed budget.
+# Kept rows are read-only and shared by every thread that evaluates.
+_TERM_ROWS_BUDGET = 32 << 20
+_ROW_BYTES = 24
+_kept_rows: dict[tuple[tuple[str, ...], int], tuple] = {}
+_kept_rows_lock = threading.Lock()
+
+
+def _build_rows(operators: tuple[str, ...],
+                num_qubits: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(gather, weight) rows of each Pauli string, one at a time. As
+    P|k> = i^nY (-1)^popcount(k & z) |k ^ x>,
+    <P> = sum_k conj(psi[k ^ x]) i^nY (-1)^popcount(k & z) psi[k]:
+    `gather` is k ^ x and `weight` the factor before psi[k]."""
+    index = np.arange(1 << num_qubits)
+    parity = _signs(index, index.size - 1)
+    for ops in operators:
+        x, z = _pauli_masks(ops)
+        gather = index ^ x
+        phase = (1 + 0j, 1j, -1 + 0j, -1j)[ops.count("Y") % 4]  # i^nY
+        weight = phase * parity[index & z]
+        gather.setflags(write=False)
+        weight.setflags(write=False)
+        yield gather, weight
+
+
+def _term_rows(operators: tuple[str, ...],
+               num_qubits: int) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+    """The rows of `_build_rows`, built once per (strings, register size)
+    and kept while all kept rows fit `_TERM_ROWS_BUDGET`: a table that would
+    overflow it drops the kept ones first, and one that alone exceeds it is
+    never kept but comes from a fresh generator at each call."""
+    key = (operators, num_qubits)
+    rows = _kept_rows.get(key)
+    if rows is not None:
+        return rows
+    size = _rows_bytes(key)
+    if size > _TERM_ROWS_BUDGET:
+        return _build_rows(operators, num_qubits)
+    rows = tuple(_build_rows(operators, num_qubits))
+    with _kept_rows_lock:
+        if key not in _kept_rows:
+            if sum(map(_rows_bytes, _kept_rows)) + size > _TERM_ROWS_BUDGET:
+                _kept_rows.clear()
+            _kept_rows[key] = rows
+        return _kept_rows[key]
+
+
+def _rows_bytes(key: tuple[tuple[str, ...], int]) -> int:
+    operators, num_qubits = key
+    return _ROW_BYTES * len(operators) << num_qubits
 
 
 def _seed_stream(base: int) -> Iterator[int]:
@@ -230,10 +279,9 @@ def _exact_values(body: Circuit, terms: list[PauliTerm],
     if not terms:
         return []
     state = sim.run_statevector(body)
-    index = np.arange(state.size)
-    parity = _signs(index, state.size - 1)
-    return [_pauli_expectation(state, index, parity, term.operators)
-            for term in terms]
+    rows = _term_rows(tuple(term.operators for term in terms), body.num_qubits)
+    return [float(np.vdot(state[gather], weight * state).real)
+            for gather, weight in rows]
 
 
 def _sampled_values(body: Circuit, terms: list[PauliTerm], shots: int,

@@ -166,6 +166,18 @@ class TestVqe:
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("num_qubits", [25, 30])
+    @pytest.mark.parametrize("shots", ["0", "100"])
+    def test_register_over_bound_exit_3(self, tmp_path, capsys, num_qubits,
+                                        shots):
+        path = tmp_path / "big.txt"
+        path.write_text(f"1.0 {'Z' * num_qubits}\n")
+        assert main(["vqe", str(path), "--shots", shots]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: num_qubits must be in [1, 24], "
+                                f"got {num_qubits}\n")
+
     def test_latency_increases_wall_time(self, h2min_file, capsys):
         times = []
         for latency in ("0", "20"):

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -18,7 +20,7 @@ from qoffload.vqe import (
     VqeError,
     VqeAbortedError,
     VqeReport,
-    _pauli_expectation,
+    _exact_values,
     _pauli_masks,
     _signs,
     basis_change,
@@ -175,14 +177,148 @@ class TestPauliEvaluation:
             body = random_circuit(rng, n, rng.randint(1, 25), measured=False)
             ops = "".join(rng.choice("IXYZ") for _ in range(n))
             state = sim.run_statevector(body)
-            direct = _pauli_expectation(state, np.arange(state.size),
-                                        _popcount_signs(n, "Z" * n), ops)
+            [direct] = _exact_values(body, [PauliTerm(1.0, ops)], None, None)
             rotated = sim.run_statevector(basis_change(body, ops))
             via_basis = float(_popcount_signs(n, ops)
                               @ sim.exact_probabilities(rotated))
             assert abs(direct - via_basis) < 1e-12
             dense = np.vdot(state, pauli_string_matrix(ops) @ state).real
             assert abs(direct - dense) < 1e-12
+
+
+def _dense_energy(hamiltonian, spec, theta):
+    """<H> from the dense Pauli matrices of `oracles`, on the simulator's
+    state (the dense statevector costs seconds at 10 qubits)."""
+    state = sim.run_statevector(build_ansatz_body(spec, theta))
+    merged = [(t.coefficient, t.operators) for t in hamiltonian.terms]
+    return float(np.vdot(state, hamiltonian_matrix(merged) @ state).real)
+
+
+@pytest.fixture
+def fresh_rows(monkeypatch):
+    """An empty table of kept term rows for this test alone."""
+    kept = {}
+    monkeypatch.setattr(vqe, "_kept_rows", kept)
+    return kept
+
+
+class TestTermRows:
+    def test_y_heavy_and_shared_flip_masks_match_dense(self, fresh_rows):
+        rng = random.Random(61)
+        for n in range(6, 11):
+            flips = rng.sample(range(n), n // 2)
+            # Terms on the same flipped qubits share one gather index.
+            shared = ["".join(rng.choice("XY") if q in flips
+                              else rng.choice("IZ") for q in range(n))
+                      for _ in range(3)]
+            y_heavy = ["".join(rng.choice("YYYXZI") for _ in range(n))
+                       for _ in range(4)]
+            h = Hamiltonian.from_terms(
+                [(rng.uniform(-2, 2), ops) for ops in shared + y_heavy])
+            spec = AnsatzSpec(n, 2)
+            for _ in range(2):
+                theta = [rng.uniform(-3, 3)
+                         for _ in range(spec.num_parameters)]
+                energy = estimate_expectation(h, spec, theta, shots=0)
+                assert abs(energy - _dense_energy(h, spec, theta)) < 1e-10
+
+    def test_coefficients_are_not_kept(self, fresh_rows):
+        a = Hamiltonian.from_terms([(0.7, "XYZI"), (-1.3, "ZZII"),
+                                    (0.4, "IYIY")])
+        b = Hamiltonian.from_terms([(-2.0, "XYZI"), (0.5, "ZZII"),
+                                    (1.1, "IYIY")])
+        spec = AnsatzSpec(4, 2)
+        rng = random.Random(62)
+        for _ in range(3):
+            theta = [rng.uniform(-3, 3) for _ in range(spec.num_parameters)]
+            for h in (a, b, a):
+                energy = estimate_expectation(h, spec, theta, shots=0)
+                assert abs(energy - _dense_energy(h, spec, theta)) < 1e-10
+        assert list(fresh_rows) == [(("XYZI", "ZZII", "IYIY"), 4)]
+
+    def test_over_budget_rows_are_built_each_time(self, monkeypatch,
+                                                  fresh_rows):
+        monkeypatch.setattr(vqe, "_TERM_ROWS_BUDGET", 1000)
+        h = Hamiltonian.from_terms([(0.5, "IIIII"), (1.0, "XYZZY"),
+                                    (-0.6, "YYIXZ"), (0.3, "ZIIIZ")])
+        spec = AnsatzSpec(5, 2)
+        theta = [0.1 * k for k in range(spec.num_parameters)]
+        first = estimate_expectation(h, spec, theta, shots=0)
+        second = estimate_expectation(h, spec, theta, shots=0)
+        assert first == second
+        assert abs(first - _dense_energy(h, spec, theta)) < 1e-10
+        assert fresh_rows == {}
+
+    def test_kept_rows_are_read_only(self, fresh_rows):
+        h = Hamiltonian.from_terms([(1.0, "XY"), (0.5, "ZI")])
+        estimate_expectation(h, AnsatzSpec(2, 1), [0.3, 0.4], shots=0)
+        [rows] = fresh_rows.values()
+        assert len(rows) == 2
+        for gather, weight in rows:
+            for array in (gather, weight):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+    def test_kept_rows_stay_within_budget(self, monkeypatch, fresh_rows):
+        # Room for two of these 6-qubit, 4-term tables at a time.
+        budget = 2 * 4 * vqe._ROW_BYTES * 2 ** 6 + 100
+        monkeypatch.setattr(vqe, "_TERM_ROWS_BUDGET", budget)
+        rng = random.Random(63)
+        spec = AnsatzSpec(6, 1)
+        theta = [rng.uniform(-3, 3) for _ in range(spec.num_parameters)]
+        for _ in range(6):
+            h = _random_hamiltonian(rng, 6, 5)  # identity and 4 terms
+            energy = estimate_expectation(h, spec, theta, shots=0)
+            assert abs(energy - _dense_energy(h, spec, theta)) < 1e-10
+            kept = sum(vqe._rows_bytes(key) for key in fresh_rows)
+            assert 0 < kept <= budget
+        assert len(fresh_rows) == 2
+
+    def test_threads_filling_the_table_match_one_thread(self, monkeypatch,
+                                                        fresh_rows):
+        # Four Hamiltonians, room for two: the threads fill and evict the
+        # shared table at once.
+        rng = random.Random(64)
+        spec = AnsatzSpec(6, 2)
+        hamiltonians = [_random_hamiltonian(rng, 6, 9) for _ in range(4)]
+        thetas = [[rng.uniform(-3, 3) for _ in range(spec.num_parameters)]
+                  for _ in range(5)]
+        expected = [[estimate_expectation(h, spec, theta, shots=0)
+                     for theta in thetas] for h in hamiltonians]
+        fresh_rows.clear()
+        monkeypatch.setattr(vqe, "_TERM_ROWS_BUDGET",
+                            2 * 8 * vqe._ROW_BYTES * 2 ** 6)
+        barrier = threading.Barrier(len(hamiltonians))
+        results = [[] for _ in hamiltonians]
+        errors, kept = [], []
+
+        def evaluate(h, out):
+            try:
+                barrier.wait()
+                for i in range(50):
+                    out.append(estimate_expectation(
+                        h, spec, thetas[i % len(thetas)], shots=0))
+                    kept.append(sum(map(vqe._rows_bytes, list(fresh_rows))))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=evaluate, args=(h, out))
+                   for h, out in zip(hamiltonians, results)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the table code
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for values, own in zip(results, expected):
+            assert values == [own[i % len(own)] for i in range(50)]
+        assert max(kept) <= vqe._TERM_ROWS_BUDGET
 
 
 class TestEstimateExpectation:
@@ -318,6 +454,15 @@ class TestEstimateExpectation:
             estimate_expectation(H2MIN, AnsatzSpec(2, 1), [0.0, 0.0], -5,
                                  registry, device)
 
+    @pytest.mark.parametrize("shots", [0, 64])
+    def test_register_over_bound_is_an_input_fault(self, registry, shots):
+        h = Hamiltonian.from_terms([(1.0, "Z" * 25), (0.5, "X" * 25)])
+        with pytest.raises(VqeError, match=r"num_qubits must be in \[1, 24\], "
+                                           "got 25"):
+            estimate_expectation(h, AnsatzSpec(h.num_qubits, 1), [0.1] * 25,
+                                 shots, registry, "sim0" if shots else None)
+        assert AnsatzSpec(24, 1).num_parameters == 24
+
     @pytest.mark.parametrize("seed", [0, -7, 2 ** 64 - 2])
     def test_job_seeds_count_up_modulo_2_64(self, registry, seed):
         spec = AnsatzSpec(2, 1)
@@ -402,6 +547,21 @@ class TestOptimize:
         with pytest.raises(VqeError, match="finite") as exc:
             optimize(H2MIN, AnsatzSpec(2, 1), config, registry)
         assert not isinstance(exc.value, VqeAbortedError)
+
+    @pytest.mark.parametrize("shots", [0, 64])
+    def test_register_over_bound_is_an_input_fault(self, monkeypatch,
+                                                   registry, shots):
+        # Rejected before the first evaluation, so not a device failure.
+        evaluations = []
+        monkeypatch.setattr(vqe, "estimate_expectation",
+                            lambda *args: evaluations.append(args))
+        h = Hamiltonian.from_terms([(1.0, "Z" * 25)])
+        config = VqeConfig(initial_theta=[0.1] * 25, shots=shots,
+                           device_name="sim0" if shots else None)
+        with pytest.raises(VqeError, match=r"\[1, 24\], got 25") as exc:
+            optimize(h, AnsatzSpec(h.num_qubits, 1), config, registry)
+        assert not isinstance(exc.value, VqeAbortedError)
+        assert evaluations == []
 
     @pytest.mark.parametrize("shots", [0, 64])
     def test_each_evaluation_calls_the_module_global(self, monkeypatch,
