@@ -5,8 +5,9 @@ Pauli-sum expectation estimation and a Nelder-Mead variational loop.
 Shots = 0 selects exact (shot-free) expectation values on the local
 simulator, used for optimizer validation: the ansatz is simulated once per
 parameter vector and every Pauli term is read off that one statevector,
-through a gather index and a weight row per term that are built once per
-Hamiltonian and register size (kept within a fixed byte budget).
+through a gather index and a parity row per term that are built once per
+Hamiltonian and register size (the last table kept, within a fixed byte
+budget).
 Sampled mode is the device-faithful path: one basis-rotated job per term,
 all submitted before any is waited on (`target nowait` regions, then a
 `taskwait`), so a remote device runs an evaluation's jobs as one batch
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -184,58 +184,48 @@ def _signs(index: np.ndarray, mask: int) -> np.ndarray:
     return np.where(bits & 1, -1.0, 1.0)
 
 
-# Term rows cost 24 bytes per amplitude per term (an int64 gather index and a
-# complex weight), so a process keeps them only within this fixed budget.
-# Kept rows are read-only and shared by every thread that evaluates.
+# Term rows cost 16 bytes per amplitude per term (an int64 gather index and a
+# float64 parity row), so a process keeps one table, and only within this
+# fixed budget. The kept rows are read-only, and a miss replaces the slot in
+# one assignment, so threads that evaluate at once can share it.
 _TERM_ROWS_BUDGET = 32 << 20
-_ROW_BYTES = 24
-_kept_rows: dict[tuple[tuple[str, ...], int], tuple] = {}
-_kept_rows_lock = threading.Lock()
+_ROW_BYTES = 16
+_kept_rows: tuple | None = None  # ((operators, num_qubits), rows)
 
 
 def _build_rows(operators: tuple[str, ...],
-                num_qubits: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(gather, weight) rows of each Pauli string, one at a time. As
+                num_qubits: int) -> Iterator[tuple[np.ndarray, np.ndarray,
+                                                   complex]]:
+    """(gather, signs, phase) rows of each Pauli string, one at a time. As
     P|k> = i^nY (-1)^popcount(k & z) |k ^ x>,
-    <P> = sum_k conj(psi[k ^ x]) i^nY (-1)^popcount(k & z) psi[k]:
-    `gather` is k ^ x and `weight` the factor before psi[k]."""
+    <P> = i^nY sum_k conj(psi[k ^ x]) (-1)^popcount(k & z) psi[k]:
+    `gather` is k ^ x, `signs` the parity factor and `phase` i^nY."""
     index = np.arange(1 << num_qubits)
     parity = _signs(index, index.size - 1)
     for ops in operators:
         x, z = _pauli_masks(ops)
         gather = index ^ x
-        phase = (1 + 0j, 1j, -1 + 0j, -1j)[ops.count("Y") % 4]  # i^nY
-        weight = phase * parity[index & z]
+        signs = parity[index & z]
         gather.setflags(write=False)
-        weight.setflags(write=False)
-        yield gather, weight
+        signs.setflags(write=False)
+        yield gather, signs, (1 + 0j, 1j, -1 + 0j, -1j)[ops.count("Y") % 4]
 
 
-def _term_rows(operators: tuple[str, ...],
-               num_qubits: int) -> Iterable[tuple[np.ndarray, np.ndarray]]:
-    """The rows of `_build_rows`, built once per (strings, register size)
-    and kept while all kept rows fit `_TERM_ROWS_BUDGET`: a table that would
-    overflow it drops the kept ones first, and one that alone exceeds it is
-    never kept but comes from a fresh generator at each call."""
+def _term_rows(operators: tuple[str, ...], num_qubits: int) -> Iterable[
+        tuple[np.ndarray, np.ndarray, complex]]:
+    """The rows of `_build_rows`, kept for the last (strings, register size)
+    whose table fits `_TERM_ROWS_BUDGET`. A table over the budget is never
+    kept: its rows come from a fresh generator at each call."""
+    global _kept_rows
     key = (operators, num_qubits)
-    rows = _kept_rows.get(key)
-    if rows is not None:
-        return rows
-    size = _rows_bytes(key)
-    if size > _TERM_ROWS_BUDGET:
+    kept = _kept_rows
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    if _ROW_BYTES * len(operators) << num_qubits > _TERM_ROWS_BUDGET:
         return _build_rows(operators, num_qubits)
     rows = tuple(_build_rows(operators, num_qubits))
-    with _kept_rows_lock:
-        if key not in _kept_rows:
-            if sum(map(_rows_bytes, _kept_rows)) + size > _TERM_ROWS_BUDGET:
-                _kept_rows.clear()
-            _kept_rows[key] = rows
-        return _kept_rows[key]
-
-
-def _rows_bytes(key: tuple[tuple[str, ...], int]) -> int:
-    operators, num_qubits = key
-    return _ROW_BYTES * len(operators) << num_qubits
+    _kept_rows = key, rows
+    return rows
 
 
 def _seed_stream(base: int) -> Iterator[int]:
@@ -280,8 +270,8 @@ def _exact_values(body: Circuit, terms: list[PauliTerm],
         return []
     state = sim.run_statevector(body)
     rows = _term_rows(tuple(term.operators for term in terms), body.num_qubits)
-    return [float(np.vdot(state[gather], weight * state).real)
-            for gather, weight in rows]
+    return [float((phase * np.vdot(state[gather], signs * state)).real)
+            for gather, signs, phase in rows]
 
 
 def _sampled_values(body: Circuit, terms: list[PauliTerm], shots: int,

@@ -95,6 +95,15 @@ class TestAnsatz:
         with pytest.raises(VqeError):
             build_ansatz_body(AnsatzSpec(2, 2), [0.0])
 
+    @pytest.mark.parametrize("num_qubits", [0, 25, 30])
+    def test_register_out_of_bound_is_an_input_fault(self, num_qubits):
+        # An input error, so not the device failure that optimize reports.
+        with pytest.raises(VqeError, match=r"num_qubits must be in \[1, 24\], "
+                                           f"got {num_qubits}$") as exc:
+            AnsatzSpec(num_qubits, 1)
+        assert not isinstance(exc.value, VqeAbortedError)
+        assert AnsatzSpec(24, 1).num_parameters == 24
+
 
 class TestBasisChange:
     def test_zz_is_native(self):
@@ -143,6 +152,12 @@ def _popcount_signs(num_qubits: int, operators: str) -> np.ndarray:
     return np.where(ones % 2 == 0, 1.0, -1.0)
 
 
+@pytest.fixture
+def fresh_rows(monkeypatch):
+    """An empty slot of kept term rows for this test alone."""
+    monkeypatch.setattr(vqe, "_kept_rows", None)
+
+
 class TestPauliEvaluation:
     def test_parity_signs_match_popcount(self):
         rng = random.Random(21)
@@ -168,7 +183,8 @@ class TestPauliEvaluation:
             expected = [(-1.0) ** bin(k & mask).count("1") for k in index]
             assert _signs(np.asarray(index), mask).tolist() == expected
 
-    def test_direct_expectation_matches_basis_rotated_route(self):
+    def test_direct_expectation_matches_basis_rotated_route(self,
+                                                            fresh_rows):
         # Random circuits over every gate kind give complex states, so
         # strings with an odd number of Y factors have nonzero expectations.
         rng = random.Random(33)
@@ -192,14 +208,6 @@ def _dense_energy(hamiltonian, spec, theta):
     state = sim.run_statevector(build_ansatz_body(spec, theta))
     merged = [(t.coefficient, t.operators) for t in hamiltonian.terms]
     return float(np.vdot(state, hamiltonian_matrix(merged) @ state).real)
-
-
-@pytest.fixture
-def fresh_rows(monkeypatch):
-    """An empty table of kept term rows for this test alone."""
-    kept = {}
-    monkeypatch.setattr(vqe, "_kept_rows", kept)
-    return kept
 
 
 class TestTermRows:
@@ -234,7 +242,7 @@ class TestTermRows:
             for h in (a, b, a):
                 energy = estimate_expectation(h, spec, theta, shots=0)
                 assert abs(energy - _dense_energy(h, spec, theta)) < 1e-10
-        assert list(fresh_rows) == [(("XYZI", "ZZII", "IYIY"), 4)]
+        assert vqe._kept_rows[0] == (("XYZI", "ZZII", "IYIY"), 4)
 
     def test_over_budget_rows_are_built_each_time(self, monkeypatch,
                                                   fresh_rows):
@@ -247,38 +255,40 @@ class TestTermRows:
         second = estimate_expectation(h, spec, theta, shots=0)
         assert first == second
         assert abs(first - _dense_energy(h, spec, theta)) < 1e-10
-        assert fresh_rows == {}
+        assert vqe._kept_rows is None
 
     def test_kept_rows_are_read_only(self, fresh_rows):
         h = Hamiltonian.from_terms([(1.0, "XY"), (0.5, "ZI")])
         estimate_expectation(h, AnsatzSpec(2, 1), [0.3, 0.4], shots=0)
-        [rows] = fresh_rows.values()
+        key, rows = vqe._kept_rows
+        assert key == (("XY", "ZI"), 2)
         assert len(rows) == 2
-        for gather, weight in rows:
-            for array in (gather, weight):
+        for gather, signs, _ in rows:
+            for array in (gather, signs):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0
 
-    def test_kept_rows_stay_within_budget(self, monkeypatch, fresh_rows):
-        # Room for two of these 6-qubit, 4-term tables at a time.
-        budget = 2 * 4 * vqe._ROW_BYTES * 2 ** 6 + 100
+    def test_one_table_is_kept_within_budget(self, monkeypatch, fresh_rows):
+        # Room for one of these 6-qubit, 4-term tables.
+        budget = 4 * vqe._ROW_BYTES * 2 ** 6
         monkeypatch.setattr(vqe, "_TERM_ROWS_BUDGET", budget)
         rng = random.Random(63)
         spec = AnsatzSpec(6, 1)
         theta = [rng.uniform(-3, 3) for _ in range(spec.num_parameters)]
-        for _ in range(6):
+        for _ in range(4):
             h = _random_hamiltonian(rng, 6, 5)  # identity and 4 terms
             energy = estimate_expectation(h, spec, theta, shots=0)
             assert abs(energy - _dense_energy(h, spec, theta)) < 1e-10
-            kept = sum(vqe._rows_bytes(key) for key in fresh_rows)
-            assert 0 < kept <= budget
-        assert len(fresh_rows) == 2
+            key, rows = vqe._kept_rows
+            assert key == (tuple(t.operators for t in h.terms
+                                 if not t.is_identity), 6)
+            assert sum(gather.nbytes + signs.nbytes
+                       for gather, signs, _ in rows) <= budget
 
-    def test_threads_filling_the_table_match_one_thread(self, monkeypatch,
-                                                        fresh_rows):
-        # Four Hamiltonians, room for two: the threads fill and evict the
-        # shared table at once.
+    def test_threads_sharing_the_slot_match_one_thread(self, fresh_rows):
+        # Four Hamiltonians and one kept table: the threads replace it under
+        # each other.
         rng = random.Random(64)
         spec = AnsatzSpec(6, 2)
         hamiltonians = [_random_hamiltonian(rng, 6, 9) for _ in range(4)]
@@ -286,12 +296,10 @@ class TestTermRows:
                   for _ in range(5)]
         expected = [[estimate_expectation(h, spec, theta, shots=0)
                      for theta in thetas] for h in hamiltonians]
-        fresh_rows.clear()
-        monkeypatch.setattr(vqe, "_TERM_ROWS_BUDGET",
-                            2 * 8 * vqe._ROW_BYTES * 2 ** 6)
+        vqe._kept_rows = None
         barrier = threading.Barrier(len(hamiltonians))
         results = [[] for _ in hamiltonians]
-        errors, kept = [], []
+        errors = []
 
         def evaluate(h, out):
             try:
@@ -299,7 +307,6 @@ class TestTermRows:
                 for i in range(50):
                     out.append(estimate_expectation(
                         h, spec, thetas[i % len(thetas)], shots=0))
-                    kept.append(sum(map(vqe._rows_bytes, list(fresh_rows))))
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
 
@@ -318,7 +325,6 @@ class TestTermRows:
         assert errors == []
         for values, own in zip(results, expected):
             assert values == [own[i % len(own)] for i in range(50)]
-        assert max(kept) <= vqe._TERM_ROWS_BUDGET
 
 
 class TestEstimateExpectation:
@@ -454,15 +460,6 @@ class TestEstimateExpectation:
             estimate_expectation(H2MIN, AnsatzSpec(2, 1), [0.0, 0.0], -5,
                                  registry, device)
 
-    @pytest.mark.parametrize("shots", [0, 64])
-    def test_register_over_bound_is_an_input_fault(self, registry, shots):
-        h = Hamiltonian.from_terms([(1.0, "Z" * 25), (0.5, "X" * 25)])
-        with pytest.raises(VqeError, match=r"num_qubits must be in \[1, 24\], "
-                                           "got 25"):
-            estimate_expectation(h, AnsatzSpec(h.num_qubits, 1), [0.1] * 25,
-                                 shots, registry, "sim0" if shots else None)
-        assert AnsatzSpec(24, 1).num_parameters == 24
-
     @pytest.mark.parametrize("seed", [0, -7, 2 ** 64 - 2])
     def test_job_seeds_count_up_modulo_2_64(self, registry, seed):
         spec = AnsatzSpec(2, 1)
@@ -547,21 +544,6 @@ class TestOptimize:
         with pytest.raises(VqeError, match="finite") as exc:
             optimize(H2MIN, AnsatzSpec(2, 1), config, registry)
         assert not isinstance(exc.value, VqeAbortedError)
-
-    @pytest.mark.parametrize("shots", [0, 64])
-    def test_register_over_bound_is_an_input_fault(self, monkeypatch,
-                                                   registry, shots):
-        # Rejected before the first evaluation, so not a device failure.
-        evaluations = []
-        monkeypatch.setattr(vqe, "estimate_expectation",
-                            lambda *args: evaluations.append(args))
-        h = Hamiltonian.from_terms([(1.0, "Z" * 25)])
-        config = VqeConfig(initial_theta=[0.1] * 25, shots=shots,
-                           device_name="sim0" if shots else None)
-        with pytest.raises(VqeError, match=r"\[1, 24\], got 25") as exc:
-            optimize(h, AnsatzSpec(h.num_qubits, 1), config, registry)
-        assert not isinstance(exc.value, VqeAbortedError)
-        assert evaluations == []
 
     @pytest.mark.parametrize("shots", [0, 64])
     def test_each_evaluation_calls_the_module_global(self, monkeypatch,
