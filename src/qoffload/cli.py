@@ -164,8 +164,7 @@ def cmd_serve(args) -> int:
     try:
         server = resman.serve(host, port,
                               capacity=args.capacity,
-                              latency=args.latency_ms / 1000.0,
-                              result_ttl=args.ttl_s)
+                              latency=args.latency_ms / 1000.0)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_INPUT)
     except OSError as exc:
@@ -265,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--bind", default="127.0.0.1:7117")
     p_srv.add_argument("--latency-ms", type=float, default=0.0, dest="latency_ms")
     p_srv.add_argument("--capacity", type=int, default=24)
-    p_srv.add_argument("--ttl-s", type=float, default=600.0, dest="ttl_s")
     p_srv.set_defaults(func=cmd_serve)
 
     p_vqe = sub.add_parser("vqe", help="run the variational eigensolver")

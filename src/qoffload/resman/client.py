@@ -1,8 +1,9 @@
 """Blocking client for the resource-manager wire protocol.
 
-`submit` is the `target nowait` of the paper's offload model and `fetch`
-its `taskwait`: a `FetchResult` is answered once the job has finished, so
-no call polls.
+`run_batch` sends (qasm, shots, seed) jobs as one `SubmitJob`, the `target
+nowait` of the paper's offload model, and yields each job's outcome as its
+reply frame arrives, its `taskwait`: the server answers a job once it has
+finished, so no call polls. `fetch` reads one job's reply frame.
 """
 from __future__ import annotations
 
@@ -72,21 +73,20 @@ class ResmanClient:
             raise ServerError(response.get("code", "UNEXPECTED"),
                               f"expected Pong, got {response}")
 
-    def submit(self, qasm: str, shots: int, seed: int) -> int:
-        response = self.request(protocol.submit_job(qasm, shots, seed))
-        if response["kind"] == "Error":
-            raise ServerError(response["code"], response["message"])
-        return response["job_id"]
-
-    def fetch(self, job_id: int) -> tuple[Histogram, float]:
-        """Wait for a submitted job to finish; its histogram and server-side
-        wall time. A failed job raises `ServerError` `JOB_FAILED`."""
-        return _histogram(self.request(protocol.fetch_result(job_id)))
+    def fetch(self, msg: dict | None = None) -> tuple[Histogram, float]:
+        """A job's histogram and server-side wall time, from the next reply
+        frame, read after sending `msg` if one is given. An `Error` frame
+        raises its `ServerError` (`JOB_FAILED` for a job that failed), and a
+        whole frame that is not a valid `Result` raises
+        `MalformedMessageError`, after which the next frame starts. A frame
+        that cannot be read raises as `request` does."""
+        return _histogram(self._receive() if msg is None else self.request(msg))
 
     def run_batch(self, jobs):
-        """Run (qasm, shots, seed) jobs as one `SubmitJob` request with
-        `jobs`, and yield each job's outcome, in order, as its reply frame
-        arrives (see `_outcome`). An `Error` that answers the whole request
+        """Run (qasm, shots, seed) jobs as one `SubmitJob` request, and
+        yield each job's outcome, in order, as its reply frame arrives: its
+        histogram, or the `ServerError` or `MalformedMessageError` that
+        `fetch` raised for it. An `Error` that answers the whole request
         (`BAD_BATCH`, or `BAD_FRAME` from a server that does not take
         `jobs`) is the last frame of that request and fails every job it
         carries. A batch whose request would exceed `MAX_FRAME_BYTES` is
@@ -102,7 +102,10 @@ class ResmanClient:
             unread = count
             try:
                 for index in range(count):
-                    outcome = self._outcome(None if index else msg)
+                    try:
+                        outcome = self.fetch(None if index else msg)[0]
+                    except (ServerError, protocol.MalformedMessageError) as exc:
+                        outcome = exc
                     unread -= 1
                     if (not index and isinstance(outcome, ServerError)
                             and outcome.code in _WHOLE_REQUEST):
@@ -113,19 +116,6 @@ class ResmanClient:
             finally:
                 if unread:
                     self.close()
-
-    def _outcome(self, msg: dict | None = None):
-        """A job's outcome from the next reply frame, read after sending
-        `msg` if one is given: its histogram, or the exception that fails
-        the job (the `ServerError` of an `Error` frame, or the
-        `MalformedMessageError` of a whole frame that is not a valid
-        `Result`, after which the next frame starts). A frame that cannot
-        be read raises."""
-        try:
-            return _histogram(self._receive() if msg is None
-                              else self.request(msg))[0]
-        except (ServerError, protocol.MalformedMessageError) as exc:
-            return exc
 
 
 # Error codes that answer a whole request, however many jobs it carries.
@@ -180,17 +170,19 @@ def _histogram(response: dict) -> tuple[Histogram, float]:
 def client_submit(endpoint: tuple[str, int], circuit: Circuit,
                   shots: int, seed: int,
                   timeout: float = 120.0) -> JobResult:
-    """Submit a circuit as QASM and fetch its histogram: two requests on a
-    new connection. Each reply must come within `timeout` seconds, or
-    `TimeoutError` is raised.
+    """Run a circuit, sent as QASM, and return its histogram: one
+    `SubmitJob` of one job on a new connection, so one request. The reply
+    must come within `timeout` seconds, or `TimeoutError` is raised; a job
+    the server rejects or fails raises its `ServerError`.
 
-    wall_time is the measured client-side round trip (submit to fetch).
+    wall_time is the measured client-side round trip.
     """
     qasm = emit_qasm(circuit)
     start = time.monotonic()
     with ResmanClient(endpoint, timeout=timeout) as client:
-        # A failed job's fetch raises ServerError("JOB_FAILED", reason).
-        histogram, _server_wall = client.fetch(client.submit(qasm, shots, seed))
+        [histogram] = client.run_batch([(qasm, shots, seed)])
+    if isinstance(histogram, Exception):
+        raise histogram
     finished = time.monotonic()
     return JobResult(histogram=histogram, wall_time=finished - start,
                      device_name=f"{endpoint[0]}:{endpoint[1]}",

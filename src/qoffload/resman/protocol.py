@@ -1,11 +1,12 @@
 """Wire protocol: 4-byte big-endian length prefix + UTF-8 JSON body.
 
 Every message is a JSON object with a "kind" discriminator. Requests:
-Ping, SubmitJob, FetchResult. Responses: Pong, Accepted, Result, Error.
-A FetchResult waits for its job to finish, as `taskwait` does, so no
-request asks for a job's status. A Result carries a histogram's nonzero
-outcomes and their counts. See docs/protocol.md for the field-level
-contract.
+Ping, and SubmitJob, which carries its (qasm, shots, seed) jobs in `jobs`.
+Responses: Pong, Result, Error; a SubmitJob is answered with one Result or
+Error frame per job, each sent once its job has finished, as `taskwait`
+does, so no request asks for a job's status or fetches it later. A Result
+carries a histogram's nonzero outcomes and their counts. See
+docs/protocol.md for the field-level contract.
 """
 from __future__ import annotations
 
@@ -18,12 +19,10 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 # kind -> required field names (beyond "kind")
 REQUEST_KINDS = {
     "Ping": (),
-    "SubmitJob": ("qasm", "shots", "seed"),
-    "FetchResult": ("job_id",),
+    "SubmitJob": ("jobs",),
 }
 RESPONSE_KINDS = {
     "Pong": (),
-    "Accepted": ("job_id",),
     "Result": ("outcomes", "counts", "num_qubits", "shots", "server_wall_time"),
     "Error": ("code", "message"),
 }
@@ -59,10 +58,6 @@ def validate_message(msg: dict) -> dict:
     fields = KNOWN_KINDS.get(kind)
     if fields is None:
         raise UnknownKindError(f"unknown message kind {kind!r}")
-    if kind == "SubmitJob" and "jobs" in msg:
-        # Several jobs: `jobs` and its entries are checked by the server,
-        # which answers a fault with an Error and keeps the connection.
-        fields = ()
     missing = [f for f in fields if f not in msg]
     if missing:
         raise MalformedMessageError(f"{kind} message missing fields {missing}")
@@ -141,25 +136,12 @@ def pong() -> dict:
     return {"kind": "Pong"}
 
 
-def submit_job(qasm: str, shots: int, seed: int) -> dict:
-    """A SubmitJob of one job, answered Accepted with its id."""
-    return {"kind": "SubmitJob", "qasm": qasm, "shots": shots, "seed": seed}
-
-
 def submit_batch(jobs) -> dict:
-    """A SubmitJob carrying several (qasm, shots, seed) jobs in `jobs`; its
-    reply is one Result or Error frame per job, in order."""
+    """A SubmitJob carrying (qasm, shots, seed) jobs in `jobs`; its reply
+    is one Result or Error frame per job, in order."""
     return {"kind": "SubmitJob",
             "jobs": [{"qasm": qasm, "shots": shots, "seed": seed}
                      for qasm, shots, seed in jobs]}
-
-
-def fetch_result(job_id: int) -> dict:
-    return {"kind": "FetchResult", "job_id": job_id}
-
-
-def accepted(job_id: int) -> dict:
-    return {"kind": "Accepted", "job_id": job_id}
 
 
 def result(histogram, server_wall_time: float) -> dict:

@@ -1,17 +1,15 @@
 """Quantum resource-manager service.
 
 Accepts framed JSON requests, parses submitted QASM and queues jobs FIFO onto
-one runtime device worker (one simulated device). A `SubmitJob` of one job
-is answered `Accepted` with its id, the `target nowait` of the paper's
-offload model; a `FetchResult` of that id is its `taskwait`: it blocks until
-the job finishes and is answered with the job's `Result` or `Error` frame.
-The job is retained, and can be fetched again, until `result_ttl` seconds
-after it finished, fetched or not. A `SubmitJob` carrying several jobs in
-`jobs` has each of them queued and answered as a fetch is, one frame per
-job, so a batch of jobs costs one request; its jobs are not retained. A
-`Result` holds the histogram's nonzero (outcome, count) pairs. A
-configurable one-way delay is slept before each request is processed,
-modelling the link latency of a remote (off-premise) device.
+one runtime device worker (one simulated device). A `SubmitJob` carries its
+jobs in `jobs`. All of them are queued at once, the `target nowait` of the
+paper's offload model, and the request is answered with one `Result` or
+`Error` frame per job, in order, each sent once its job has finished, the
+`taskwait`. So a batch of jobs costs one request, and the server keeps
+nothing of a job once its reply is sent. A `Result` holds the histogram's
+nonzero (outcome, count) pairs. A configurable one-way delay is slept
+before each request is processed, modelling the link latency of a remote
+(off-premise) device.
 """
 from __future__ import annotations
 
@@ -29,8 +27,8 @@ from ..runtime import (Device, DeviceKind, DeviceWorker, Job, JobHandle,
 from . import protocol
 
 
-# The fields of one job, as a `SubmitJob` carries them.
-_JOB_FIELDS = protocol.REQUEST_KINDS["SubmitJob"]
+# The fields of each entry of a `SubmitJob`'s `jobs`.
+_JOB_FIELDS = ("qasm", "shots", "seed")
 
 
 def _is_int(value) -> bool:
@@ -55,15 +53,12 @@ class ResourceManagerServer:
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  capacity: int = DEFAULT_MAX_QUBITS,
                  latency: float = 0.0,
-                 result_ttl: float = 600.0,
                  optimization_pass=None):
-        for name, value in (("latency", latency), ("result_ttl", result_ttl)):
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be a finite number >= 0")
+        if not 0 <= latency < math.inf:
+            raise ValueError("latency must be a finite number >= 0")
         device = Device("resman", DeviceKind.LOCAL_SIMULATOR, capacity)
         self.capacity = capacity
         self.latency = latency
-        self.result_ttl = result_ttl
         # Hook for circuit rewriting before execution; identity by default.
         self.optimization_pass = optimization_pass or (lambda circuit: circuit)
 
@@ -77,8 +72,6 @@ class ResourceManagerServer:
             raise
         self.address: tuple[str, int] = self._sock.getsockname()
 
-        self._jobs: dict[int, JobHandle] = {}
-        self._jobs_lock = threading.Lock()
         self._ids = itertools.count(1)
         self._shutdown = threading.Event()
 
@@ -166,10 +159,9 @@ class ResourceManagerServer:
 
     def _replies(self, msg: dict):
         """The replies to one request, each produced after the one before
-        was sent: one per entry of a `SubmitJob` with `jobs`, or one
-        `BAD_BATCH` for a malformed batch; one for any other request."""
-        self._evict_finished()
-        if msg["kind"] != "SubmitJob" or "jobs" not in msg:
+        was sent: one per entry of a `SubmitJob`'s `jobs`, or one
+        `BAD_BATCH` for a malformed `jobs`; one for any other request."""
+        if msg["kind"] != "SubmitJob":
             yield self._handle(msg)
             return
         jobs = msg["jobs"]
@@ -177,39 +169,18 @@ class ResourceManagerServer:
                 or not all(isinstance(entry, dict) for entry in jobs)):
             yield protocol.error(
                 "BAD_BATCH", "jobs must be a non-empty list of objects")
-        elif any(name in msg for name in _JOB_FIELDS):
-            yield protocol.error(
-                "BAD_BATCH", "a SubmitJob with jobs carries no qasm, shots "
-                "or seed of its own")
-        else:
-            # Every entry is queued before the first is answered, so the
-            # device runs them back to back while replies are sent.
-            for item in [self._queue(entry) for entry in jobs]:
-                yield self._answer(item) if isinstance(item, JobHandle) else item
+            return
+        # Every entry is queued before the first is answered, so the
+        # device runs them back to back while replies are sent.
+        for item in [self._queue(entry) for entry in jobs]:
+            yield self._answer(item) if isinstance(item, JobHandle) else item
 
     def _handle(self, msg: dict) -> dict:
-        """The reply to one request that carries at most one job."""
+        """The reply to a request that carries no job."""
         kind = msg["kind"]
         if kind == "Ping":
             return protocol.pong()
-        if kind == "SubmitJob":
-            handle = self._queue(msg)
-            if not isinstance(handle, JobHandle):
-                return handle
-            with self._jobs_lock:
-                self._jobs[handle.job_id] = handle
-            return protocol.accepted(handle.job_id)
-        if kind != "FetchResult":
-            return protocol.error("UNSUPPORTED",
-                                  f"server cannot handle kind {kind!r}")
-        job_id = msg["job_id"]
-        if not _is_int(job_id):
-            return protocol.error("BAD_REQUEST", "job_id must be an integer")
-        with self._jobs_lock:
-            handle = self._jobs.get(job_id)
-        if handle is None:
-            return protocol.error("UNKNOWN_JOB", f"no job {job_id!r}")
-        return self._answer(handle)
+        return protocol.error("UNSUPPORTED", f"server cannot handle kind {kind!r}")
 
     def _queue(self, entry: dict) -> JobHandle | dict:
         """Check one job's fields, parse its QASM and queue it: the job's
@@ -240,8 +211,8 @@ class ResourceManagerServer:
 
     @staticmethod
     def _answer(handle: JobHandle) -> dict:
-        """A job's reply, a batch entry's or a fetch's, once it finished:
-        its `Result`, or its `JOB_FAILED` `Error`."""
+        """A job's reply once it finished: its `Result`, or its
+        `JOB_FAILED` `Error`."""
         handle.wait()
         if handle.error is not None:
             return protocol.error("JOB_FAILED", str(handle.error))
@@ -249,22 +220,11 @@ class ResourceManagerServer:
         return protocol.result(
             result.histogram, result.finished_at - result.started_at)
 
-    def _evict_finished(self) -> None:
-        """Forget the retained jobs that finished over `result_ttl` ago."""
-        cutoff = time.monotonic() - self.result_ttl
-        with self._jobs_lock:
-            stale = [job_id for job_id, handle in self._jobs.items()
-                     if handle.finished_at is not None
-                     and handle.finished_at < cutoff]
-            for job_id in stale:
-                del self._jobs[job_id]
-
 
 def serve(host: str = "127.0.0.1", port: int = 0, *,
           capacity: int = DEFAULT_MAX_QUBITS, latency: float = 0.0,
-          result_ttl: float = 600.0, optimization_pass=None) -> ResourceManagerServer:
+          optimization_pass=None) -> ResourceManagerServer:
     """Bind and start a resource-manager server; returns the running server."""
     server = ResourceManagerServer(host, port, capacity=capacity, latency=latency,
-                                   result_ttl=result_ttl,
                                    optimization_pass=optimization_pass)
     return server.start()

@@ -284,6 +284,8 @@ class DeviceWorker:
             if stopping:
                 self.backend.close()
                 return
+            # Nothing of a settled job is held while the next one is awaited.
+            del batch
 
     def _run_batch(self, batch: list) -> None:
         outcomes = self.backend.run_batch([job for job, _ in batch])

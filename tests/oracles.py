@@ -5,10 +5,16 @@ matrices. Deliberately O(4^n) and built from explicit Kronecker products,
 unlike the production simulator's blocked kernel. Both read the gate tables
 of `gate_matrix`, so the two-qubit tables are checked on their own by bit
 arithmetic in `test_sim.py`.
+
+A structural checker for emitted QIR text: `parse_qir_calls` re-parses an
+emitted program's call lines, and `check_qir_shape` matches them against
+the source circuit.
 """
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +27,7 @@ from qoffload.circuit import (
     create_circuit,
     gate_matrix,
 )
+from qoffload.qir import _QIR_NAMES
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -114,3 +121,84 @@ def random_circuit(rng: random.Random, num_qubits: int, num_gates: int,
     if measured:
         circuit.measure()
     return circuit
+
+
+class QirShapeError(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class QirCall:
+    op: str
+    doubles: tuple[float, ...]
+    qubits: tuple[int, ...]
+    results: tuple[int, ...]
+
+
+_CALL_RE = re.compile(r"^  call void @__quantum__qis__([a-z]+)__body\((.*)\)$")
+_QUBIT_RE = re.compile(r"^%(Qubit|Result)\* (?:null|inttoptr \(i64 (\d+) to %(Qubit|Result)\*\))$")
+
+
+def _parse_operand(text: str) -> tuple[str, float | int]:
+    if text.startswith("double "):
+        return "double", float(text[len("double "):])
+    m = _QUBIT_RE.match(text)
+    if not m or (m.group(3) is not None and m.group(1) != m.group(3)):
+        raise QirShapeError(f"malformed operand {text!r}")
+    return m.group(1), int(m.group(2)) if m.group(2) else 0
+
+
+def parse_qir_calls(text: str) -> list[QirCall]:
+    """Re-parse the call lines of an emitted program, checking the frame
+    (define/entry/ret/attributes) and operand syntax along the way."""
+    lines = text.split("\n")
+    try:
+        start = lines.index("define void @main() #0 {")
+    except ValueError:
+        raise QirShapeError("missing 'define void @main() #0 {'")
+    if sum(1 for ln in lines if ln.startswith("define ")) != 1:
+        raise QirShapeError("expected exactly one define")
+    if lines[start + 1] != "entry:":
+        raise QirShapeError("missing 'entry:' label")
+    if not any(ln == 'attributes #0 = { "entry_point" }' for ln in lines):
+        raise QirShapeError("missing entry_point attribute group")
+    calls = []
+    i = start + 2
+    while i < len(lines) and lines[i] != "  ret void":
+        m = _CALL_RE.match(lines[i])
+        if not m:
+            raise QirShapeError(f"unexpected body line {lines[i]!r}")
+        doubles, qubits, results = [], [], []
+        operands = m.group(2)
+        if operands:
+            for part in operands.split(", "):
+                kind, value = _parse_operand(part)
+                {"double": doubles, "Qubit": qubits, "Result": results}[kind].append(value)
+        calls.append(QirCall(m.group(1), tuple(doubles), tuple(qubits), tuple(results)))
+        i += 1
+    if i >= len(lines) or lines[i] != "  ret void" or lines[i + 1] != "}":
+        raise QirShapeError("missing 'ret void' terminator")
+    return calls
+
+
+def check_qir_shape(text: str, circuit: Circuit) -> None:
+    """Verify an emitted program structurally matches its source circuit."""
+    calls = parse_qir_calls(text)
+    gate_calls = [c for c in calls if c.op != "mz"]
+    mz_calls = [c for c in calls if c.op == "mz"]
+    if len(gate_calls) != len(circuit.gates):
+        raise QirShapeError(
+            f"{len(gate_calls)} gate calls for {len(circuit.gates)} gates"
+        )
+    if len(mz_calls) != circuit.num_qubits:
+        raise QirShapeError(
+            f"{len(mz_calls)} mz calls for {circuit.num_qubits} qubits"
+        )
+    for call, gate in zip(gate_calls, circuit.gates):
+        if call.op != _QIR_NAMES[gate.kind]:
+            raise QirShapeError(f"call {call.op!r} does not match gate {gate.kind}")
+        if call.qubits != gate.targets:
+            raise QirShapeError(f"call operands {call.qubits} != targets {gate.targets}")
+    for q, call in enumerate(mz_calls):
+        if call.qubits != (q,) or call.results != (q,):
+            raise QirShapeError(f"mz call {q} has operands {call}")

@@ -211,7 +211,7 @@ def test_criterion_10_protocol_robustness(capsys):
 
     # truncated frames: typed errors, no crashes
     frame = protocol.encode_frame(
-        protocol.submit_job(GOLDEN_BELL, 1000, 7))
+        protocol.submit_batch([(GOLDEN_BELL, 1000, 7)]))
     for cut in range(len(frame)):
         try:
             protocol.decode_frame(frame[:cut])

@@ -281,7 +281,7 @@ class TestServe:
         proc, address = self._spawn("--latency-ms", "50")
         try:
             result = client_submit(address, bell_circuit(), 50, 1)
-            assert result.wall_time >= 0.10
+            assert result.wall_time >= 0.05  # one request, one 50 ms leg
         finally:
             proc.send_signal(signal.SIGINT)
             proc.communicate(timeout=10)
@@ -307,9 +307,6 @@ class TestServe:
         (["--latency-ms", "-5"], "latency must be a finite number >= 0"),
         (["--latency-ms", "nan"], "latency must be a finite number >= 0"),
         (["--latency-ms", "inf"], "latency must be a finite number >= 0"),
-        (["--ttl-s", "-1"], "result_ttl must be a finite number >= 0"),
-        (["--ttl-s", "nan"], "result_ttl must be a finite number >= 0"),
-        (["--ttl-s", "inf"], "result_ttl must be a finite number >= 0"),
     ])
     def test_bad_flag_exit_3(self, flags, message):
         proc = subprocess.run(

@@ -13,12 +13,8 @@ def _random_message(rng: random.Random) -> dict:
     kind = rng.choice(list(protocol.KNOWN_KINDS))
     if kind == "SubmitJob":
         qasm = "".join(rng.choices(string.printable, k=rng.randint(0, 200)))
-        return protocol.submit_job(qasm, rng.randint(1, 10 ** 6),
-                                   rng.randrange(2 ** 63))
-    if kind == "FetchResult":
-        return protocol.fetch_result(rng.randrange(2 ** 63))
-    if kind == "Accepted":
-        return protocol.accepted(rng.randrange(2 ** 63))
+        return protocol.submit_batch([(qasm, rng.randint(1, 10 ** 6),
+                                       rng.randrange(2 ** 63))])
     if kind == "Result":
         n = rng.randint(1, 4)
         outcomes = sorted(rng.sample(range(2 ** n), rng.randint(1, 2 ** n)))
@@ -27,7 +23,7 @@ def _random_message(rng: random.Random) -> dict:
             Histogram.from_outcomes(n, outcomes, counts, sum(counts)),
             rng.random())
     if kind == "Error":
-        return protocol.error(rng.choice(["PARSE", "UNKNOWN_JOB", "CAPACITY"]),
+        return protocol.error(rng.choice(["PARSE", "BAD_REQUEST", "CAPACITY"]),
                               "".join(rng.choices(string.ascii_letters, k=20)))
     return {"kind": kind}
 
@@ -56,7 +52,7 @@ class TestFraming:
         from qoffload.qasm import emit_qasm
         from qoffload.circuit import bell_circuit
 
-        msg = protocol.submit_job(emit_qasm(bell_circuit()), 1000, 7)
+        msg = protocol.submit_batch([(emit_qasm(bell_circuit()), 1000, 7)])
         assert protocol.decode_frame(protocol.encode_frame(msg)) == msg
 
     def test_truncated_header(self):

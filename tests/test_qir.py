@@ -4,15 +4,10 @@ from pathlib import Path
 import pytest
 
 from qoffload.circuit import bell_circuit, create_circuit
-from qoffload.qir import (
-    QirShapeError,
-    check_qir_shape,
-    emit_qir,
-    parse_qir_calls,
-    _double,
-)
+from qoffload.qir import emit_qir, _double
 
-from oracles import random_circuit
+from oracles import (QirShapeError, check_qir_shape, parse_qir_calls,
+                     random_circuit)
 
 GOLDEN_BELL_LL = (Path(__file__).parent / "golden" / "bell.ll").read_text()
 

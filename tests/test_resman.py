@@ -8,6 +8,7 @@ import struct
 import threading
 import time
 import warnings
+import weakref
 
 import pytest
 
@@ -56,17 +57,14 @@ class TestServer:
             client.ping()
 
     @pytest.mark.parametrize("value", [-1, math.nan, math.inf])
-    @pytest.mark.parametrize("name", ["latency", "result_ttl"])
-    def test_latency_and_ttl_must_be_finite_and_not_negative(self, name,
-                                                              value):
+    def test_latency_must_be_finite_and_not_negative(self, value):
         with pytest.raises(ValueError,
-                           match=f"{name} must be a finite number >= 0"):
-            serve(**{name: value})
+                           match="latency must be a finite number >= 0"):
+            serve(latency=value)
 
     def test_submit_and_fetch_matches_local(self, server):
         with ResmanClient(server.address) as client:
-            job_id = client.submit(emit_qasm(bell_circuit()), 1000, 7)
-            histogram, wall = client.fetch(job_id)
+            histogram, wall = client.fetch(_batch_of_one(bell_circuit(), 1000, 7))
         assert histogram == sim.run_and_sample(bell_circuit(), 1000, 7)
         assert wall >= 0
 
@@ -77,11 +75,10 @@ class TestServer:
             optimization_pass or (lambda circuit: circuit))
         try:
             with ResmanClient(srv.address, timeout=30) as client:
-                job_id = client.submit(emit_qasm(bell_circuit()), 100, 3)
-                assert entered.wait(timeout=30)
                 protocol.send_message(client._sock,
-                                      protocol.fetch_result(job_id))
-                # The job is held, so the fetch is not answered yet.
+                                      _batch_of_one(bell_circuit(), 100, 3))
+                assert entered.wait(timeout=30)
+                # The job is held, so the request is not answered yet.
                 assert select.select([client._sock], [], [], 0.2)[0] == []
                 release.set()
                 reply = client._receive()
@@ -101,10 +98,9 @@ class TestServer:
         srv, _counts, entered, release = _held_server()
         try:
             with ResmanClient(srv.address, timeout=0.2) as client:
-                job_id = client.submit(emit_qasm(bell_circuit()), 100, 3)
-                assert entered.wait(timeout=30)
                 with pytest.raises(TimeoutError):
-                    client.fetch(job_id)
+                    client.fetch(_batch_of_one(bell_circuit(), 100, 3))
+                assert entered.wait(timeout=30)
                 assert client._sock.fileno() == -1
                 release.set()
                 # The late Result must not answer the next request.
@@ -127,16 +123,10 @@ class TestServer:
     def test_malformed_qasm_parse_error(self, server, qasm):
         with ResmanClient(server.address) as client:
             with pytest.raises(ServerError) as exc:
-                client.submit(qasm, 10, 0)
+                client.fetch(protocol.submit_batch([(qasm, 10, 0)]))
             client.ping()  # the connection survives the rejected job
         assert exc.value.code == "PARSE"
         assert "line" in str(exc.value)
-
-    def test_unknown_job(self, server):
-        with ResmanClient(server.address) as client:
-            with pytest.raises(ServerError) as exc:
-                client.fetch(98765)
-            assert exc.value.code == "UNKNOWN_JOB"
 
     def test_capacity_limit(self):
         srv = serve(capacity=2)
@@ -145,7 +135,7 @@ class TestServer:
                     "qreg q[3];\ncreg c[3];\nmeasure q -> c;\n")
             with ResmanClient(srv.address) as client:
                 with pytest.raises(ServerError) as exc:
-                    client.submit(qasm, 10, 0)
+                    client.fetch(protocol.submit_batch([(qasm, 10, 0)]))
             assert exc.value.code == "CAPACITY"
         finally:
             srv.shutdown()
@@ -153,7 +143,7 @@ class TestServer:
     def test_bad_shots_rejected(self, server):
         with ResmanClient(server.address) as client:
             with pytest.raises(ServerError) as exc:
-                client.submit(emit_qasm(bell_circuit()), 0, 0)
+                client.fetch(_batch_of_one(bell_circuit(), 0, 0))
             assert exc.value.code == "BAD_REQUEST"
 
     def test_unsupported_response_kind_as_request(self, server):
@@ -187,47 +177,18 @@ class TestServer:
 
     @pytest.mark.parametrize("optimization_pass", [None, _failing_pass],
                              ids=["done", "failed"])
-    def test_result_evicted_after_ttl(self, optimization_pass):
-        srv = serve(result_ttl=0.05, optimization_pass=optimization_pass)
-        try:
-            with ResmanClient(srv.address) as client:
-                job_id = client.submit(emit_qasm(bell_circuit()), 10, 0)
-                first = client.request(protocol.fetch_result(job_id))
-                assert first["kind"] == ("Result" if optimization_pass is None
-                                         else "Error")
-                time.sleep(0.1)
-                client.ping()  # triggers the eviction sweep
-                with pytest.raises(ServerError) as exc:
-                    client.fetch(job_id)
-                assert exc.value.code == "UNKNOWN_JOB"
-        finally:
-            srv.shutdown()
-
-    @pytest.mark.parametrize("optimization_pass", [None, _failing_pass],
-                             ids=["done", "failed"])
-    def test_unfetched_result_evicted_after_ttl(self, optimization_pass):
-        srv = serve(result_ttl=0.05, optimization_pass=optimization_pass)
-        try:
-            with ResmanClient(srv.address) as client:
-                job_id = client.submit(emit_qasm(bell_circuit()), 10, 0)
-                assert srv._jobs[job_id].wait(timeout=30)
-                time.sleep(0.1)
-                client.ping()  # triggers the eviction sweep
-                assert srv._jobs == {}
-                with pytest.raises(ServerError) as exc:
-                    client.fetch(job_id)
-                assert exc.value.code == "UNKNOWN_JOB"
-        finally:
-            srv.shutdown()
-
-    @pytest.mark.parametrize("optimization_pass", [None, _failing_pass],
-                             ids=["done", "failed"])
     def test_waited_result_not_retained(self, optimization_pass):
         srv = serve(optimization_pass=optimization_pass)
+        handles, submit = [], srv._worker.submit
+
+        def watched_submit(job, handle):
+            handles.append(weakref.ref(handle))
+            submit(job, handle)
+
+        srv._worker.submit = watched_submit
         try:
             with ResmanClient(srv.address) as client:
-                reply = client.request(protocol.submit_batch(
-                    [(emit_qasm(bell_circuit()), 10, 0)]))
+                reply = client.request(_batch_of_one(bell_circuit(), 10, 0))
                 if optimization_pass is None:
                     assert reply["kind"] == "Result"
                     assert sum(reply["counts"]) == 10
@@ -235,11 +196,13 @@ class TestServer:
                     assert reply["kind"] == "Error"
                     assert reply["code"] == "JOB_FAILED"
                     assert "pass rejected the circuit" in reply["message"]
-                # No reply named the job, so nothing of it is kept.
-                with pytest.raises(ServerError) as exc:
-                    client.fetch(1)
-                assert exc.value.code == "UNKNOWN_JOB"
-            assert srv._jobs == {}
+                # Nothing of the job is kept once its reply is sent: its
+                # handle is freed, on a connection that stays open.
+                deadline = time.monotonic() + 10
+                while handles[0]() is not None and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                assert len(handles) == 1 and handles[0]() is None
+                client.ping()
         finally:
             srv.shutdown()
 
@@ -266,9 +229,8 @@ class TestServer:
         registry = DeviceRegistry()
         try:
             with ResmanClient(srv.address) as client:
-                job_id = client.submit(emit_qasm(bell_circuit()), 10, 0)
                 with pytest.raises(ServerError) as exc:
-                    client.fetch(job_id)
+                    client.fetch(_batch_of_one(bell_circuit(), 10, 0))
                 assert exc.value.code == "JOB_FAILED"
             with pytest.raises(ServerError) as exc:
                 client_submit(srv.address, bell_circuit(), 10, 0)
@@ -283,21 +245,15 @@ class TestServer:
             registry.shutdown()
             srv.shutdown()
 
-    @pytest.mark.parametrize("request_msg", [
-        {"kind": "FetchResult", "job_id": [1]},
-        {"kind": "FetchResult", "job_id": True},
-        {"kind": "SubmitJob", "qasm": emit_qasm(bell_circuit()),
-         "shots": True, "seed": 0},
-        {"kind": "SubmitJob", "qasm": emit_qasm(bell_circuit()),
-         "shots": 10, "seed": False},
-        {"kind": "SubmitJob", "qasm": 5, "shots": 10, "seed": 0},
-        {"kind": "SubmitJob", "qasm": None, "shots": 10, "seed": 0},
-    ], ids=["fetch-list-id", "fetch-bool-id", "bool-shots", "bool-seed",
-            "int-qasm", "null-qasm"])
-    def test_bad_field_type_rejected(self, server, request_msg):
+    @pytest.mark.parametrize("entry", [
+        {"qasm": emit_qasm(bell_circuit()), "shots": True, "seed": 0},
+        {"qasm": emit_qasm(bell_circuit()), "shots": 10, "seed": False},
+        {"qasm": 5, "shots": 10, "seed": 0},
+        {"qasm": None, "shots": 10, "seed": 0},
+    ], ids=["bool-shots", "bool-seed", "int-qasm", "null-qasm"])
+    def test_bad_field_type_rejected(self, server, entry):
         with ResmanClient(server.address) as client:
-            client_submit(server.address, bell_circuit(), 10, 0)  # job 1 exists
-            response = client.request(request_msg)
+            response = client.request({"kind": "SubmitJob", "jobs": [entry]})
             assert response["kind"] == "Error"
             assert response["code"] == "BAD_REQUEST"
             client.ping()  # the connection survives
@@ -310,17 +266,45 @@ class TestServer:
         {"kind": "SubmitJob", "jobs": [
             {"qasm": emit_qasm(bell_circuit()), "shots": 10, "seed": 0}, 5]},
         {"kind": "SubmitJob", "jobs": [[emit_qasm(bell_circuit()), 10, 0]]},
-        {"kind": "SubmitJob", "qasm": emit_qasm(bell_circuit()), "jobs": [
-            {"qasm": emit_qasm(bell_circuit()), "shots": 10, "seed": 0}]},
     ], ids=["null-jobs", "object-jobs", "empty-jobs", "int-entry",
-            "list-entry", "jobs-and-qasm"])
-    def test_malformed_batch_rejected_once(self, server, request_msg):
+            "list-entry"])
+    def test_malformed_batch_rejected_once(self, request_msg):
+        seen = []
+
+        def record(circuit):
+            seen.append(circuit)
+            return circuit
+
+        srv = serve(optimization_pass=record)
+        try:
+            with ResmanClient(srv.address) as client:
+                response = client.request(request_msg)
+                assert response["kind"] == "Error"
+                assert response["code"] == "BAD_BATCH"
+                client.ping()  # the connection survives, with no reply left over
+                # Jobs run in order, so a job of the rejected request would
+                # have run before this one.
+                client.fetch(_batch_of_one(create_circuit(1).measure(), 10, 0))
+        finally:
+            srv.shutdown()
+        assert seen == [create_circuit(1).measure()]  # no job of the batch ran
+
+    @pytest.mark.parametrize("request_msg", [
+        {"kind": "SubmitJob", "qasm": emit_qasm(bell_circuit()), "shots": 10,
+         "seed": 0},
+        {"kind": "FetchResult", "job_id": 1},
+    ], ids=["single-job-submit", "fetch-result"])
+    def test_legacy_frame_answered_bad_frame_once(self, server, request_msg):
+        # The two-request form of older clients: a SubmitJob with the job's
+        # fields at the top level and no `jobs`, and a FetchResult.
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(_raw_frame(request_msg))
+            response = protocol.recv_message(sock)
+            assert protocol.recv_message(sock) is None  # then closed
+        assert response["kind"] == "Error"
+        assert response["code"] == "BAD_FRAME"
         with ResmanClient(server.address) as client:
-            response = client.request(request_msg)
-            assert response["kind"] == "Error"
-            assert response["code"] == "BAD_BATCH"
-            client.ping()  # the connection survives, with no reply left over
-        assert server._jobs == {}  # no job of the batch ran
+            client.ping()  # the server answers a new connection
 
     def test_batch_answered_as_a_whole_fails_every_job(self):
         # A server that sends BAD_BATCH for the whole request, and then no
@@ -361,12 +345,18 @@ class TestServer:
         ({"qasm": emit_qasm(bell_circuit()), "shots": 10, "seed": False},
          "BAD_REQUEST"),
         ({"qasm": 5, "shots": 10, "seed": 0}, "BAD_REQUEST"),
+        ({"qasm": None, "shots": 10, "seed": 0}, "BAD_REQUEST"),
+        ({"qasm": emit_qasm(bell_circuit()), "shots": 0, "seed": 0},
+         "BAD_REQUEST"),
+        ({"qasm": emit_qasm(bell_circuit()), "shots": 10, "seed": -1},
+         "BAD_REQUEST"),
         ({"qasm": "OPENQASM 2.0;\nqreg q[2;\n", "shots": 10, "seed": 0},
          "PARSE"),
         ({"qasm": emit_qasm(random_circuit(random.Random(1), 3, 4)),
           "shots": 10, "seed": 0}, "CAPACITY"),
     ], ids=["missing-qasm", "missing-shots", "missing-seed", "bool-shots",
-            "bool-seed", "int-qasm", "parse", "capacity"])
+            "bool-seed", "int-qasm", "null-qasm", "zero-shots",
+            "negative-seed", "parse", "capacity"])
     def test_bad_batch_entry_fails_only_its_job(self, entry, code):
         rng = random.Random(707)
         siblings = [(random_circuit(rng, 2, 8), 100 + i, rng.randrange(2 ** 32))
@@ -701,6 +691,10 @@ class TestRemoteBackend:
                 client.ping()
 
 
+def _batch_of_one(circuit, shots: int, seed: int) -> dict:
+    return protocol.submit_batch([(emit_qasm(circuit), shots, seed)])
+
+
 def _raw_frame(msg: dict) -> bytes:
     body = json.dumps(msg).encode()
     return struct.pack("!I", len(body)) + body
@@ -720,14 +714,14 @@ class TestResultForm:
         entries = [(emit_qasm(circuit), shots, seed)
                    for circuit, shots, seed in jobs]
         with ResmanClient(server.address) as client:
-            # Each fetch is sent as soon as its job is accepted, and waits
-            # for the job.
-            fetched = [client.request(protocol.fetch_result(
-                client.submit(*entry))) for entry in entries]
+            # Each job alone, as a batch of one, then all of them as one
+            # batch.
+            single = [client.request(protocol.submit_batch([entry]))
+                      for entry in entries]
             batched = [client.request(protocol.submit_batch(entries))]
             batched += [client._receive() for _ in entries[1:]]
         assert len(sim.run_and_sample(*jobs[-1]).outcomes) == 16
-        for (circuit, shots, seed), *replies in zip(jobs, fetched, batched):
+        for (circuit, shots, seed), *replies in zip(jobs, single, batched):
             local = sim.run_and_sample(circuit, shots, seed)
             for reply in replies:
                 assert reply["kind"] == "Result", reply
@@ -753,8 +747,8 @@ class TestClientSubmit:
         srv = serve(latency=0.05)
         try:
             result = client_submit(srv.address, bell_circuit(), 100, 1)
-            # submit + fetch, 50 ms each leg
-            assert result.wall_time >= 0.10
+            # One request, so one 50 ms leg
+            assert result.wall_time >= 0.05
         finally:
             srv.shutdown()
 
@@ -764,7 +758,7 @@ class TestClientSubmit:
             client_submit(srv.address, bell_circuit(), 100, 1)
         finally:
             srv.shutdown()
-        assert counts == {"SubmitJob": 1, "FetchResult": 1, "connections": 1}
+        assert counts == {"SubmitJob": 1, "jobs": 1, "connections": 1}
 
     def test_connection_refused(self):
         with pytest.raises(OSError):
