@@ -1,11 +1,23 @@
 import math
 import random
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qoffload.circuit import Gate, GateKind, SizeOutOfRangeError, create_circuit, bell_circuit
+from qoffload import sim
+from qoffload.circuit import (
+    Gate,
+    GateKind,
+    PARAMETRIC_KINDS,
+    SizeOutOfRangeError,
+    TWO_QUBIT_KINDS,
+    create_circuit,
+    bell_circuit,
+)
 from qoffload.sim import (
     NonNormalizedStateError,
     apply_gate,
@@ -32,7 +44,8 @@ class TestRunStatevector:
     def test_matches_dense_oracle_random(self):
         rng = random.Random(42)
         for _ in range(100):
-            n = rng.randint(1, 4)
+            # Registers to 8 qubits, where runs of X, CX and SWAP fuse.
+            n = rng.randint(1, 8)
             c = random_circuit(rng, n, rng.randint(1, 30))
             sv = run_statevector(c)
             expected = dense_statevector(c)
@@ -51,6 +64,161 @@ class TestRunStatevector:
         for g in c.gates:
             apply_gate(state, g, n)
             assert abs(np.vdot(state, state).real - 1.0) < 1e-10
+
+
+def _gate_by_gate(circuit):
+    state = initial_state(circuit.num_qubits)
+    for gate in circuit.gates:
+        apply_gate(state, gate, circuit.num_qubits)
+    return state
+
+
+ONE_QUBIT_KINDS = [kind for kind in GateKind if kind not in TWO_QUBIT_KINDS]
+REAL_ONE_QUBIT_KINDS = [GateKind.H, GateKind.X, GateKind.Z, GateKind.RY]
+PERMUTATION_KINDS = [GateKind.X, GateKind.CX, GateKind.SWAP]
+
+
+def _draw_gate(draw, n, kinds, qubit=None):
+    kind = draw(st.sampled_from([k for k in kinds
+                                 if n > 1 or k not in TWO_QUBIT_KINDS]))
+    if kind in TWO_QUBIT_KINDS:
+        targets = tuple(draw(st.permutations(range(n)))[:2])
+    else:
+        targets = (draw(st.integers(0, n - 1)) if qubit is None else qubit,)
+    param = (draw(st.floats(-2 * math.pi, 2 * math.pi))
+             if kind in PARAMETRIC_KINDS else None)
+    return Gate(kind, targets, param)
+
+
+@st.composite
+def structured_circuits(draw):
+    """A leading run of one-qubit gates, then permutation runs of 0-6 gates
+    between gates of every kind. The leading run leans on kinds with real
+    rows, on ascending qubits with repeats, which the product-state prefix
+    folds; random kinds and qubits end the fold early."""
+    n = draw(st.integers(1, 13))
+    circuit = create_circuit(n)
+    ascending = draw(st.booleans())
+    qubit = 0
+    for _ in range(draw(st.integers(0, 2 * n))):
+        kinds = draw(st.sampled_from([REAL_ONE_QUBIT_KINDS, ONE_QUBIT_KINDS]))
+        if ascending:
+            qubit = min(n - 1, qubit + draw(st.integers(0, 1)))
+        circuit.apply(_draw_gate(draw, n, kinds, qubit if ascending else None))
+    for _ in range(draw(st.integers(0, 4))):
+        for _ in range(draw(st.integers(0, 6))):
+            circuit.apply(_draw_gate(draw, n, PERMUTATION_KINDS))
+        for _ in range(draw(st.integers(0, 3))):
+            circuit.apply(_draw_gate(draw, n, list(GateKind)))
+    return circuit
+
+
+class TestStructuredPaths:
+    """`run_statevector` folds the leading one-qubit gates into a product
+    state and gathers each run of X, CX and SWAP in one step; its state is
+    bit-identical to `apply_gate` applied gate by gate."""
+
+    @given(structured_circuits())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_gate_by_gate(self, circuit):
+        assert np.array_equal(run_statevector(circuit),
+                              _gate_by_gate(circuit))
+
+    def test_ansatz_body_sends_one_layer_through_apply_gate(self,
+                                                            monkeypatch):
+        # RY on every qubit then a CX ring, twice: the first RY layer is
+        # the product prefix and each ring one gather.
+        n = 10
+        circuit = create_circuit(n)
+        rng = random.Random(31)
+        for _ in range(2):
+            for q in range(n):
+                circuit.ry(q, rng.uniform(-3, 3))
+            for q in range(n):
+                circuit.cx(q, (q + 1) % n)
+        expected = _gate_by_gate(circuit)
+        run_statevector(circuit)  # keeps the ring's index
+        applied = []
+        kernel = sim.apply_gate
+        monkeypatch.setattr(sim, "apply_gate", lambda state, gate, n:
+                            applied.append(gate) or kernel(state, gate, n))
+        assert np.array_equal(run_statevector(circuit), expected)
+        assert applied == circuit.gates[20:30]
+
+
+class TestPermutationCache:
+    def test_kept_indices_are_read_only(self):
+        run_statevector(create_circuit(3).h(0).cx(0, 1).swap(1, 2))
+        index = sim._permutation((Gate(GateKind.CX, (0, 1)),
+                                  Gate(GateKind.SWAP, (1, 2))), 3)
+        # Gathered through the SWAP, then the CX.
+        expected = [_swap_bits(k, 1, 2) for k in range(8)]
+        assert index.tolist() == [k ^ (_bit(k, 0) << 1) for k in expected]
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0] = 1
+
+    def test_no_index_above_eleven_qubits(self):
+        for n in (11, 12):
+            circuit = create_circuit(n).h(0)
+            for q in range(n):
+                circuit.cx(q, (q + 1) % n).swap(q, (q + 3) % n)
+            sim._permutation.cache_clear()
+            assert np.array_equal(run_statevector(circuit),
+                                  _gate_by_gate(circuit))
+            assert sim._permutation.cache_info().currsize == (n <= 11)
+
+    def test_threads_sharing_the_cache_match_one_thread(self):
+        # Four threads and 24 circuits of two runs each against 16 kept
+        # indices: the threads build and evict indices under each other.
+        rng = random.Random(65)
+        circuits = []
+        for _ in range(24):
+            n = rng.randint(6, 11)
+            circuit = create_circuit(n)
+            for q in range(n):
+                circuit.h(q)
+            for _ in range(rng.randint(2, 6)):
+                a, b = rng.sample(range(n), 2)
+                circuit.apply(Gate(rng.choice(PERMUTATION_KINDS[1:]),
+                                   (a, b)))
+            circuit.rz(rng.randrange(n), rng.uniform(-3, 3))
+            for _ in range(rng.randint(2, 6)):
+                a, b = rng.sample(range(n), 2)
+                circuit.cx(a, b)
+            circuits.append(circuit)
+        expected = [_gate_by_gate(circuit) for circuit in circuits]
+        sim._permutation.cache_clear()
+        groups = [circuits[i::4] for i in range(4)]
+        barrier = threading.Barrier(len(groups))
+        results = [[] for _ in groups]
+        errors = []
+
+        def simulate(group, out):
+            try:
+                barrier.wait()
+                for i in range(60):
+                    out.append(run_statevector(group[i % len(group)]))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=simulate, args=(group, out))
+                   for group, out in zip(groups, results)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the cache code
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for g, out in enumerate(results):
+            own = expected[g::4]
+            assert all(np.array_equal(state, own[i % len(own)])
+                       for i, state in enumerate(out))
 
 
 def _basis(n, k):
