@@ -4,10 +4,13 @@ Hardware-efficient ansatz (one RY per qubit per layer, CX ring entanglers),
 Pauli-sum expectation estimation and a Nelder-Mead variational loop.
 Shots = 0 selects exact (shot-free) expectation values on the local
 simulator, used for optimizer validation: the ansatz is simulated once per
-parameter vector and every Pauli term is read off that one statevector,
-through a gather index and a parity row per term that are built once per
-Hamiltonian and register size (the last table kept, within a fixed byte
-budget).
+parameter vector and every Pauli term is read off that one statevector at
+once, with one gather and one matrix-vector product over a table of stacked
+rows (a gather index and a sign row per term) built once per Hamiltonian and
+register size. A real state, as every RY/CX-ring ansatz gives, reads only
+the terms with an even number of Y factors, on the float64 real part; the
+others are 0. The last table that fits a fixed byte budget is kept; a larger
+one is built and read in blocks of terms at each evaluation.
 Sampled mode is the device-faithful path: one basis-rotated job per term,
 all submitted before any is waited on (`target nowait` regions, then a
 `taskwait`), so a remote device runs an evaluation's jobs as one batch
@@ -15,16 +18,19 @@ request and the evaluation pays one link latency leg.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import sim
-from .circuit import DEFAULT_MAX_QUBITS, Circuit, create_circuit
+from .circuit import (DEFAULT_MAX_QUBITS, Circuit, Gate, GateKind,
+                      create_circuit)
 from .runtime import DeviceKind, DeviceRegistry, JobFailedError
 
 PAULI_CHARS = frozenset("IXYZ")
@@ -56,9 +62,10 @@ class PauliTerm:
         if not self.operators or set(self.operators) - PAULI_CHARS:
             raise VqeError(f"invalid Pauli string {self.operators!r}")
 
-    @property
+    @functools.cached_property
     def is_identity(self) -> bool:
-        return set(self.operators) == {"I"}
+        # Cached in the instance's __dict__, outside the dataclass fields.
+        return not self.operators.strip("I")
 
 
 @dataclass(frozen=True)
@@ -124,6 +131,16 @@ class AnsatzSpec:
         return self.layers * self.num_qubits
 
 
+@functools.cache
+def _cx_ring(num_qubits: int) -> tuple[Gate, ...]:
+    """The CX ring i -> (i+1) mod n of an ansatz layer, built once per
+    register size and shared: a `Gate` is frozen."""
+    if num_qubits == 1:
+        return ()
+    return tuple(Gate(GateKind.CX, (q, (q + 1) % num_qubits))
+                 for q in range(num_qubits))
+
+
 def build_ansatz_body(spec: AnsatzSpec, theta) -> Circuit:
     """Unmeasured ansatz circuit: per layer, RY on every qubit then a CX
     ring i -> (i+1) mod n (no ring for a single qubit)."""
@@ -133,13 +150,13 @@ def build_ansatz_body(spec: AnsatzSpec, theta) -> Circuit:
             f"expected {spec.num_parameters} parameters, got {len(theta)}"
         )
     n = spec.num_qubits
+    ring = _cx_ring(n)
     circuit = create_circuit(n)
     for layer in range(spec.layers):
         for q in range(n):
             circuit.ry(q, theta[layer * n + q])
-        if n > 1:
-            for q in range(n):
-                circuit.cx(q, (q + 1) % n)
+        for gate in ring:
+            circuit.apply(gate)
     return circuit
 
 
@@ -184,48 +201,89 @@ def _signs(index: np.ndarray, mask: int) -> np.ndarray:
     return np.where(bits & 1, -1.0, 1.0)
 
 
-# Term rows cost 16 bytes per amplitude per term (an int64 gather index and a
-# float64 parity row), so a process keeps one table, and only within this
-# fixed budget. The kept rows are read-only, and a miss replaces the slot in
-# one assignment, so threads that evaluate at once can share it.
+class _TermTable(NamedTuple):
+    """Every term's rows at once, stacked with the terms whose Pauli string
+    has an even number of Y factors first. As
+    P|k> = i^nY (-1)^popcount(k & z) |k ^ x>,
+    <P> = Re(i^nY sum_k conj(psi[k ^ x]) (-1)^popcount(k & z) psi[k]):
+    row t of `gather` is k ^ x and of `signs` the parity factor, and
+    `phases[t]` is i^nY. On the `even` leading rows i^nY is +-1, folded into
+    `signs`, so their phase is 1."""
+
+    gather: np.ndarray  # T x 2^n int64
+    signs: np.ndarray  # T x 2^n float64
+    phases: np.ndarray  # T complex128
+    even: int
+    order: np.ndarray  # the term of each row
+
+
+def _build_table(operators: tuple[str, ...], num_qubits: int) -> _TermTable:
+    """The read-only table of `operators` on `num_qubits` qubits."""
+    ny = [ops.count("Y") for ops in operators]
+    order = sorted(range(len(operators)), key=lambda t: ny[t] % 2)
+    masks = np.array([_pauli_masks(operators[t]) for t in order],
+                     dtype=np.int64)
+    phases = np.array([(1, 1j, -1, -1j)[ny[t] % 4] for t in order],
+                      dtype=np.complex128)
+    even = sum(n % 2 == 0 for n in ny)
+    index = np.arange(1 << num_qubits)
+    gather = index ^ masks[:, :1]
+    signs = _signs(index, index.size - 1)[index & masks[:, 1:]]
+    signs[:even] *= phases[:even, None].real
+    phases[:even] = 1
+    order = np.array(order, dtype=np.intp)
+    for array in (gather, signs, phases, order):
+        array.setflags(write=False)
+    return _TermTable(gather, signs, phases, even, order)
+
+
+def _read_table(table: _TermTable, state: np.ndarray) -> list[float]:
+    """<P> of each term of `table`, in term order, on `state`: a complex128
+    statevector, or the float64 real part of a state with no imaginary
+    part. On a real state the sum is real, so a term with an odd number of
+    Y factors, whose i^nY is imaginary, is 0: only the even rows are read."""
+    values = np.zeros(len(table.order))
+    if np.isrealobj(state):
+        even = table.even
+        gathered = state[table.gather[:even]]
+        gathered *= table.signs[:even]
+        values[table.order[:even]] = gathered @ state
+    else:
+        gathered = state.conj()[table.gather]
+        gathered *= table.signs
+        values[table.order] = (table.phases * (gathered @ state)).real
+    return values.tolist()
+
+
+# A table costs 16 bytes per amplitude per term (an int64 gather index and a
+# float64 sign row), so a process keeps one, and only within this fixed
+# budget. The kept table is read-only, and a miss replaces the slot in one
+# assignment, so threads that evaluate at once can share it.
 _TERM_ROWS_BUDGET = 32 << 20
 _ROW_BYTES = 16
-_kept_rows: tuple | None = None  # ((operators, num_qubits), rows)
+_kept_table: tuple | None = None  # ((operators, num_qubits), table)
 
 
-def _build_rows(operators: tuple[str, ...],
-                num_qubits: int) -> Iterator[tuple[np.ndarray, np.ndarray,
-                                                   complex]]:
-    """(gather, signs, phase) rows of each Pauli string, one at a time. As
-    P|k> = i^nY (-1)^popcount(k & z) |k ^ x>,
-    <P> = i^nY sum_k conj(psi[k ^ x]) (-1)^popcount(k & z) psi[k]:
-    `gather` is k ^ x, `signs` the parity factor and `phase` i^nY."""
-    index = np.arange(1 << num_qubits)
-    parity = _signs(index, index.size - 1)
-    for ops in operators:
-        x, z = _pauli_masks(ops)
-        gather = index ^ x
-        signs = parity[index & z]
-        gather.setflags(write=False)
-        signs.setflags(write=False)
-        yield gather, signs, (1 + 0j, 1j, -1 + 0j, -1j)[ops.count("Y") % 4]
-
-
-def _term_rows(operators: tuple[str, ...], num_qubits: int) -> Iterable[
-        tuple[np.ndarray, np.ndarray, complex]]:
-    """The rows of `_build_rows`, kept for the last (strings, register size)
-    whose table fits `_TERM_ROWS_BUDGET`. A table over the budget is never
-    kept: its rows come from a fresh generator at each call."""
-    global _kept_rows
+def _term_values(operators: tuple[str, ...], num_qubits: int,
+                 state: np.ndarray) -> list[float]:
+    """<P> of each string on `state`, read through the table kept for the
+    last (strings, register size) that fits `_TERM_ROWS_BUDGET`. A table
+    over the budget is never kept: it is built and read afresh at each
+    call, in blocks of terms that each fit the budget (one term, if one
+    alone does not)."""
+    global _kept_table
     key = (operators, num_qubits)
-    kept = _kept_rows
+    kept = _kept_table
     if kept is not None and kept[0] == key:
-        return kept[1]
-    if _ROW_BYTES * len(operators) << num_qubits > _TERM_ROWS_BUDGET:
-        return _build_rows(operators, num_qubits)
-    rows = tuple(_build_rows(operators, num_qubits))
-    _kept_rows = key, rows
-    return rows
+        return _read_table(kept[1], state)
+    block = max(1, _TERM_ROWS_BUDGET // (_ROW_BYTES << num_qubits))
+    if len(operators) > block:
+        return [value for start in range(0, len(operators), block)
+                for value in _read_table(_build_table(
+                    operators[start:start + block], num_qubits), state)]
+    table = _build_table(operators, num_qubits)
+    _kept_table = key, table
+    return _read_table(table, state)
 
 
 def _seed_stream(base: int) -> Iterator[int]:
@@ -269,9 +327,10 @@ def _exact_values(body: Circuit, terms: list[PauliTerm],
     if not terms:
         return []
     state = sim.run_statevector(body)
-    rows = _term_rows(tuple(term.operators for term in terms), body.num_qubits)
-    return [float((phase * np.vdot(state[gather], signs * state)).real)
-            for gather, signs, phase in rows]
+    if not state.imag.any():
+        state = np.ascontiguousarray(state.real)
+    return _term_values(tuple(term.operators for term in terms),
+                        body.num_qubits, state)
 
 
 def _sampled_values(body: Circuit, terms: list[PauliTerm], shots: int,

@@ -101,9 +101,9 @@ def hamiltonian_matrix(terms) -> np.ndarray:
 
 
 def random_circuit(rng: random.Random, num_qubits: int, num_gates: int,
-                   measured: bool = True) -> Circuit:
+                   measured: bool = True, kinds=tuple(GateKind)) -> Circuit:
     circuit = create_circuit(num_qubits)
-    kinds = list(GateKind)
+    kinds = list(kinds)
     for _ in range(num_gates):
         while True:
             kind = rng.choice(kinds)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from qoffload import sim, vqe
-from qoffload.circuit import GateKind, bell_circuit
+from qoffload.circuit import (PARAMETRIC_KINDS, GateKind, bell_circuit,
+                              create_circuit, gate_matrix)
 from qoffload.resman import serve
 from qoffload.runtime import Device, DeviceKind, DeviceRegistry
 from qoffload.vqe import (
@@ -66,6 +68,17 @@ class TestHamiltonian:
         with pytest.raises(VqeError):
             Hamiltonian.parse("# only comments\n")
 
+    def test_identity_is_kept_outside_the_fields(self):
+        a, b = PauliTerm(0.5, "III"), PauliTerm(0.5, "III")
+        assert a.is_identity and a.is_identity  # computed, then cached
+        assert not PauliTerm(0.5, "IZI").is_identity
+        assert not PauliTerm(0.5, "Y").is_identity
+        assert a == b and hash(a) == hash(b)
+        assert a != PauliTerm(0.5, "IIZ")
+        assert repr(a) == "PauliTerm(coefficient=0.5, operators='III')"
+        assert [f.name for f in dataclasses.fields(PauliTerm)] == [
+            "coefficient", "operators"]
+
 
 class TestAnsatz:
     def test_ry_pi_flips_qubit(self):
@@ -86,6 +99,21 @@ class TestAnsatz:
         kinds = [g.kind for g in circuit.gates]
         assert len(circuit.gates) == 8
         assert kinds == [GateKind.RY, GateKind.RY, GateKind.CX, GateKind.CX] * 2
+
+    def test_body_equals_one_built_gate_by_gate(self):
+        rng = random.Random(9)
+        for n in range(1, 8):
+            spec = AnsatzSpec(n, 3)
+            theta = [rng.uniform(-3, 3) for _ in range(spec.num_parameters)]
+            expected = create_circuit(n)
+            for layer in range(spec.layers):
+                for q in range(n):
+                    expected.ry(q, theta[layer * n + q])
+                if n > 1:
+                    for q in range(n):
+                        expected.cx(q, (q + 1) % n)
+            for _ in range(2):  # the second build shares the kept ring
+                assert build_ansatz_body(spec, theta) == expected
 
     def test_single_qubit_has_no_ring(self):
         circuit = build_ansatz_body(AnsatzSpec(1, 3), [0.1, 0.2, 0.3])
@@ -154,8 +182,8 @@ def _popcount_signs(num_qubits: int, operators: str) -> np.ndarray:
 
 @pytest.fixture
 def fresh_rows(monkeypatch):
-    """An empty slot of kept term rows for this test alone."""
-    monkeypatch.setattr(vqe, "_kept_rows", None)
+    """An empty slot of the kept term table for this test alone."""
+    monkeypatch.setattr(vqe, "_kept_table", None)
 
 
 class TestPauliEvaluation:
@@ -242,7 +270,7 @@ class TestTermRows:
             for h in (a, b, a):
                 energy = estimate_expectation(h, spec, theta, shots=0)
                 assert abs(energy - _dense_energy(h, spec, theta)) < 1e-10
-        assert vqe._kept_rows[0] == (("XYZI", "ZZII", "IYIY"), 4)
+        assert vqe._kept_table[0] == (("XYZI", "ZZII", "IYIY"), 4)
 
     def test_over_budget_rows_are_built_each_time(self, monkeypatch,
                                                   fresh_rows):
@@ -255,19 +283,26 @@ class TestTermRows:
         second = estimate_expectation(h, spec, theta, shots=0)
         assert first == second
         assert abs(first - _dense_energy(h, spec, theta)) < 1e-10
-        assert vqe._kept_rows is None
+        assert vqe._kept_table is None
 
     def test_kept_rows_are_read_only(self, fresh_rows):
-        h = Hamiltonian.from_terms([(1.0, "XY"), (0.5, "ZI")])
+        h = Hamiltonian.from_terms([(1.0, "XY"), (0.5, "ZI"), (0.2, "YY")])
         estimate_expectation(h, AnsatzSpec(2, 1), [0.3, 0.4], shots=0)
-        key, rows = vqe._kept_rows
-        assert key == (("XY", "ZI"), 2)
-        assert len(rows) == 2
-        for gather, signs, _ in rows:
-            for array in (gather, signs):
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[0] = 0
+        key, table = vqe._kept_table
+        assert key == (("XY", "ZI", "YY"), 2)
+        assert table.gather.shape == table.signs.shape == (3, 4)
+        assert table.gather.dtype == np.int64
+        assert table.signs.dtype == np.float64
+        # The even-Y rows lead, their +-1 phase folded into their signs.
+        assert table.even == 2
+        assert table.order.tolist() == [1, 2, 0]
+        assert table.phases.tolist() == [1, 1, 1j]
+        assert table.signs[1].tolist() == [-1.0, 1.0, 1.0, -1.0]
+        for array in (table.gather, table.signs, table.phases, table.order,
+                      table.gather[:table.even], table.signs[:table.even]):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
 
     def test_one_table_is_kept_within_budget(self, monkeypatch, fresh_rows):
         # Room for one of these 6-qubit, 4-term tables.
@@ -280,23 +315,34 @@ class TestTermRows:
             h = _random_hamiltonian(rng, 6, 5)  # identity and 4 terms
             energy = estimate_expectation(h, spec, theta, shots=0)
             assert abs(energy - _dense_energy(h, spec, theta)) < 1e-10
-            key, rows = vqe._kept_rows
+            key, table = vqe._kept_table
             assert key == (tuple(t.operators for t in h.terms
                                  if not t.is_identity), 6)
-            assert sum(gather.nbytes + signs.nbytes
-                       for gather, signs, _ in rows) <= budget
+            assert table.gather.nbytes + table.signs.nbytes <= budget
 
     def test_threads_sharing_the_slot_match_one_thread(self, fresh_rows):
         # Four Hamiltonians and one kept table: the threads replace it under
-        # each other.
+        # each other, reading real ansatz states and complex states of
+        # random circuits in turn.
         rng = random.Random(64)
         spec = AnsatzSpec(6, 2)
         hamiltonians = [_random_hamiltonian(rng, 6, 9) for _ in range(4)]
         thetas = [[rng.uniform(-3, 3) for _ in range(spec.num_parameters)]
                   for _ in range(5)]
-        expected = [[estimate_expectation(h, spec, theta, shots=0)
-                     for theta in thetas] for h in hamiltonians]
-        vqe._kept_rows = None
+        bodies = [random_circuit(rng, 6, 30, measured=False)
+                  for _ in range(3)]
+        assert all(sim.run_statevector(body).imag.any() for body in bodies)
+
+        def evaluations(h):
+            terms = [t for t in h.terms if not t.is_identity]
+            for i in range(50):
+                yield estimate_expectation(h, spec, thetas[i % len(thetas)],
+                                           shots=0)
+                yield _exact_values(bodies[i % len(bodies)], terms, None,
+                                    None)
+
+        expected = [list(evaluations(h)) for h in hamiltonians]
+        vqe._kept_table = None
         barrier = threading.Barrier(len(hamiltonians))
         results = [[] for _ in hamiltonians]
         errors = []
@@ -304,9 +350,7 @@ class TestTermRows:
         def evaluate(h, out):
             try:
                 barrier.wait()
-                for i in range(50):
-                    out.append(estimate_expectation(
-                        h, spec, thetas[i % len(thetas)], shots=0))
+                out.extend(evaluations(h))
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
 
@@ -323,8 +367,73 @@ class TestTermRows:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        for values, own in zip(results, expected):
-            assert values == [own[i % len(own)] for i in range(50)]
+        assert results == expected
+
+
+# Gate kinds whose rows are real at any angle: circuits of only these kinds
+# leave a real state.
+REAL_KINDS = tuple(kind for kind in GateKind
+                   if not gate_matrix(kind, 0.7 if kind in PARAMETRIC_KINDS
+                                      else None).imag.any())
+
+
+def _strings_of_y_parity(rng, n, parity, count):
+    """`count` random Pauli strings on n qubits, each with a number of Y
+    factors of the given parity."""
+    strings = []
+    for _ in range(count):
+        ops = [rng.choice("IXYZ") for _ in range(n)]
+        if ops.count("Y") % 2 != parity:
+            q = rng.randrange(n)
+            ops[q] = rng.choice("IXZ") if ops[q] == "Y" else "Y"
+        strings.append("".join(ops))
+    return strings
+
+
+class TestExactValues:
+    @pytest.mark.parametrize("budget", ["kept", "blocks-of-two", "one-each"])
+    def test_real_and_complex_states_match_dense(self, monkeypatch,
+                                                 fresh_rows, budget):
+        rng = random.Random(65)
+        complex_states = 0
+        for n in range(1, 9):
+            if budget == "blocks-of-two":
+                monkeypatch.setattr(vqe, "_TERM_ROWS_BUDGET",
+                                    2 * vqe._ROW_BYTES << n)
+            elif budget == "one-each":
+                monkeypatch.setattr(vqe, "_TERM_ROWS_BUDGET", 1)
+            for real in (True, False):
+                kinds = REAL_KINDS if real else tuple(GateKind)
+                for _ in range(3):
+                    body = random_circuit(rng, n, rng.randint(1, 4 * n),
+                                          measured=False, kinds=kinds)
+                    state = sim.run_statevector(body)
+                    assert real <= (not state.imag.any())
+                    complex_states += bool(state.imag.any())
+                    odd = _strings_of_y_parity(rng, n, 1, 3)
+                    even = _strings_of_y_parity(rng, n, 0, 3)
+                    strings = [ops for pair in zip(odd, even) for ops in pair]
+                    values = _exact_values(
+                        body, [PauliTerm(1.0, ops) for ops in strings],
+                        None, None)
+                    assert all(type(value) is float for value in values)
+                    for ops, value in zip(strings, values):
+                        dense = np.vdot(state,
+                                        pauli_string_matrix(ops) @ state).real
+                        assert abs(value - dense) < 1e-12
+                        if real and ops.count("Y") % 2:
+                            assert value == 0.0
+            assert (vqe._kept_table is not None) is (budget == "kept")
+            monkeypatch.setattr(vqe, "_kept_table", None)
+        assert complex_states >= 16
+
+    def test_ansatz_states_are_real(self):
+        rng = random.Random(66)
+        for n in range(1, 11):
+            spec = AnsatzSpec(n, 2)
+            theta = [rng.uniform(-3, 3) for _ in range(spec.num_parameters)]
+            state = sim.run_statevector(build_ansatz_body(spec, theta))
+            assert not state.imag.any()
 
 
 class TestEstimateExpectation:
