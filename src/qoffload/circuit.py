@@ -10,6 +10,7 @@ outcome index (qubit 0 least-significant).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -193,9 +194,10 @@ class Histogram:
     least once, and `outcome_counts` how often each was; at most `shots`
     entries, however large the register. `counts` is the dense view, a
     tuple of 2^num_qubits Python ints indexed by outcome, built on first
-    access. `Histogram.from_outcomes` builds a histogram from the nonzero
-    entries and checks its invariants; `Histogram(counts, shots)` checks
-    dense counts' length, types and signs, then calls `from_outcomes`.
+    access and cached in the instance's __dict__, outside the fields.
+    `Histogram.from_outcomes` builds a histogram from the nonzero entries
+    and checks its invariants; `Histogram(counts, shots)` checks dense
+    counts' length, types and signs, then calls `from_outcomes`.
     Histograms of the same counts are equal however they were built.
     """
 
@@ -203,7 +205,6 @@ class Histogram:
     outcomes: tuple[int, ...]
     outcome_counts: tuple[int, ...]
     shots: int
-    _counts: tuple[int, ...] | None = field(compare=False, repr=False)
 
     def __init__(self, counts, shots: int):
         counts = tuple(counts)
@@ -219,7 +220,7 @@ class Histogram:
                                          compress(range(n), counts),
                                          filter(None, counts), shots)
         # Fields are set through `__dict__`, past the frozen `__setattr__`.
-        self.__dict__.update(sparse.__dict__, _counts=counts)
+        self.__dict__.update(sparse.__dict__, counts=counts)
 
     @classmethod
     def from_outcomes(cls, num_qubits: int, outcomes, counts,
@@ -249,20 +250,17 @@ class Histogram:
             raise ValueError(f"counts sum {total} != shots {shots}")
         histogram = cls.__new__(cls)
         histogram.__dict__.update(num_qubits=num_qubits, outcomes=outcomes,
-                                  outcome_counts=counts, shots=shots,
-                                  _counts=None)
+                                  outcome_counts=counts, shots=shots)
         return histogram
 
-    @property
+    @functools.cached_property
     def counts(self) -> tuple[int, ...]:
         """The dense view. Threads that build it at once store equal
         tuples, so the view needs no lock."""
-        if self._counts is None:
-            dense = [0] * (1 << self.num_qubits)
-            for outcome, count in zip(self.outcomes, self.outcome_counts):
-                dense[outcome] = count
-            self.__dict__["_counts"] = tuple(dense)
-        return self._counts
+        dense = [0] * (1 << self.num_qubits)
+        for outcome, count in zip(self.outcomes, self.outcome_counts):
+            dense[outcome] = count
+        return tuple(dense)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)

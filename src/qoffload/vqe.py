@@ -6,11 +6,13 @@ Shots = 0 selects exact (shot-free) expectation values on the local
 simulator, used for optimizer validation: the ansatz is simulated once per
 parameter vector and every Pauli term is read off that one statevector at
 once, with one gather and one matrix-vector product over a table of stacked
-rows (a gather index and a sign row per term) built once per Hamiltonian and
-register size. A real state, as every RY/CX-ring ansatz gives, reads only
-the terms with an even number of Y factors, on the float64 real part; the
-others are 0. The last table that fits a fixed byte budget is kept; a larger
-one is built and read in blocks of terms at each evaluation.
+rows built once per Hamiltonian and register size. The RY/CX-ring ansatz
+gives real states, and exact mode reads only those (any other raises
+`VqeError`), on their float64 amplitudes: a term with an odd number of Y
+factors is 0 on a real state and has no row, and every other term has a
+gather index and a sign row. The last table that fits a fixed byte budget
+is kept; a larger one is built and read in blocks of terms at each
+evaluation.
 Sampled mode is the device-faithful path: one basis-rotated job per term,
 all submitted before any is waited on (`target nowait` regions, then a
 `taskwait`), so a remote device runs an evaluation's jobs as one batch
@@ -202,60 +204,36 @@ def _signs(index: np.ndarray, mask: int) -> np.ndarray:
 
 
 class _TermTable(NamedTuple):
-    """Every term's rows at once, stacked with the terms whose Pauli string
-    has an even number of Y factors first. As
+    """The rows of the terms whose Pauli string has an even number of Y
+    factors, in term order. As
     P|k> = i^nY (-1)^popcount(k & z) |k ^ x>,
-    <P> = Re(i^nY sum_k conj(psi[k ^ x]) (-1)^popcount(k & z) psi[k]):
-    row t of `gather` is k ^ x and of `signs` the parity factor, and
-    `phases[t]` is i^nY. On the `even` leading rows i^nY is +-1, folded into
-    `signs`, so their phase is 1."""
+    on a real state <P> = i^nY sum_k psi[k ^ x] (-1)^popcount(k & z) psi[k]:
+    row r of `gather` is k ^ x and of `signs` the parity factor times
+    i^nY, which is +-1 for an even nY. A term with an odd nY has no row: on
+    a real state its sum is real and i^nY imaginary, so its <P> is 0."""
 
-    gather: np.ndarray  # T x 2^n int64
-    signs: np.ndarray  # T x 2^n float64
-    phases: np.ndarray  # T complex128
-    even: int
-    order: np.ndarray  # the term of each row
+    gather: np.ndarray  # R x 2^n int64
+    signs: np.ndarray  # R x 2^n float64
+    terms: np.ndarray  # the term index of each row
 
 
 def _build_table(operators: tuple[str, ...], num_qubits: int) -> _TermTable:
     """The read-only table of `operators` on `num_qubits` qubits."""
     ny = [ops.count("Y") for ops in operators]
-    order = sorted(range(len(operators)), key=lambda t: ny[t] % 2)
-    masks = np.array([_pauli_masks(operators[t]) for t in order],
-                     dtype=np.int64)
-    phases = np.array([(1, 1j, -1, -1j)[ny[t] % 4] for t in order],
-                      dtype=np.complex128)
-    even = sum(n % 2 == 0 for n in ny)
+    terms = [t for t, n in enumerate(ny) if n % 2 == 0]
+    masks = np.array([_pauli_masks(operators[t]) for t in terms],
+                     dtype=np.int64).reshape(-1, 2)
     index = np.arange(1 << num_qubits)
     gather = index ^ masks[:, :1]
     signs = _signs(index, index.size - 1)[index & masks[:, 1:]]
-    signs[:even] *= phases[:even, None].real
-    phases[:even] = 1
-    order = np.array(order, dtype=np.intp)
-    for array in (gather, signs, phases, order):
+    signs *= np.array([(-1.0) ** (ny[t] // 2) for t in terms])[:, None]
+    terms = np.array(terms, dtype=np.intp)
+    for array in (gather, signs, terms):
         array.setflags(write=False)
-    return _TermTable(gather, signs, phases, even, order)
+    return _TermTable(gather, signs, terms)
 
 
-def _read_table(table: _TermTable, state: np.ndarray) -> list[float]:
-    """<P> of each term of `table`, in term order, on `state`: a complex128
-    statevector, or the float64 real part of a state with no imaginary
-    part. On a real state the sum is real, so a term with an odd number of
-    Y factors, whose i^nY is imaginary, is 0: only the even rows are read."""
-    values = np.zeros(len(table.order))
-    if np.isrealobj(state):
-        even = table.even
-        gathered = state[table.gather[:even]]
-        gathered *= table.signs[:even]
-        values[table.order[:even]] = gathered @ state
-    else:
-        gathered = state.conj()[table.gather]
-        gathered *= table.signs
-        values[table.order] = (table.phases * (gathered @ state)).real
-    return values.tolist()
-
-
-# A table costs 16 bytes per amplitude per term (an int64 gather index and a
+# A table costs 16 bytes per amplitude per row (an int64 gather index and a
 # float64 sign row), so a process keeps one, and only within this fixed
 # budget. The kept table is read-only, and a miss replaces the slot in one
 # assignment, so threads that evaluate at once can share it.
@@ -266,24 +244,31 @@ _kept_table: tuple | None = None  # ((operators, num_qubits), table)
 
 def _term_values(operators: tuple[str, ...], num_qubits: int,
                  state: np.ndarray) -> list[float]:
-    """<P> of each string on `state`, read through the table kept for the
-    last (strings, register size) that fits `_TERM_ROWS_BUDGET`. A table
-    over the budget is never kept: it is built and read afresh at each
-    call, in blocks of terms that each fit the budget (one term, if one
-    alone does not)."""
+    """<P> of each string on `state`, the float64 amplitudes of a real
+    state, read through the table kept for the last (strings, register
+    size) that fits `_TERM_ROWS_BUDGET`. A table over the budget is never
+    kept: it is built and read afresh at each call, in blocks of terms that
+    each fit the budget (one term, if one alone does not)."""
     global _kept_table
     key = (operators, num_qubits)
     kept = _kept_table
-    if kept is not None and kept[0] == key:
-        return _read_table(kept[1], state)
     block = max(1, _TERM_ROWS_BUDGET // (_ROW_BYTES << num_qubits))
-    if len(operators) > block:
-        return [value for start in range(0, len(operators), block)
-                for value in _read_table(_build_table(
-                    operators[start:start + block], num_qubits), state)]
-    table = _build_table(operators, num_qubits)
-    _kept_table = key, table
-    return _read_table(table, state)
+    if kept is not None and kept[0] == key:
+        tables = [(0, kept[1])]
+    elif len(operators) <= block:
+        table = _build_table(operators, num_qubits)
+        _kept_table = key, table
+        tables = [(0, table)]
+    else:
+        tables = ((start, _build_table(operators[start:start + block],
+                                       num_qubits))
+                  for start in range(0, len(operators), block))
+    values = np.zeros(len(operators))
+    for start, table in tables:
+        rows = state[table.gather]
+        rows *= table.signs
+        values[start + table.terms] = rows @ state
+    return values.tolist()
 
 
 def _seed_stream(base: int) -> Iterator[int]:
@@ -320,17 +305,19 @@ def estimate_expectation(hamiltonian: Hamiltonian, spec: AnsatzSpec, theta,
 def _exact_values(body: Circuit, terms: list[PauliTerm],
                   registry: DeviceRegistry | None,
                   device_name: str | None) -> list[float]:
-    """<P> of each term, read off one local simulation of `body`."""
+    """<P> of each term, read off one local simulation of `body`, whose
+    state must be real."""
     if registry is not None and device_name is not None:
         if registry.device(device_name).kind is DeviceKind.REMOTE:
             raise VqeError("exact mode is local-simulator only")
     if not terms:
         return []
     state = sim.run_statevector(body)
-    if not state.imag.any():
-        state = np.ascontiguousarray(state.real)
+    if state.imag.any():
+        raise VqeError("exact mode reads only real states, as the ansatz "
+                       "gives")
     return _term_values(tuple(term.operators for term in terms),
-                        body.num_qubits, state)
+                        body.num_qubits, np.ascontiguousarray(state.real))
 
 
 def _sampled_values(body: Circuit, terms: list[PauliTerm], shots: int,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -186,6 +187,10 @@ class TestHistogram:
             h.shots = 3
         assert h.counts == (1, 0, 0, 1)  # the view is built once, inside
         assert h.counts is h.counts
+        assert [f.name for f in dataclasses.fields(Histogram)] == [
+            "num_qubits", "outcomes", "outcome_counts", "shots"]
+        dense = (0, 2, 0, 0)
+        assert Histogram(dense, 2).counts is dense
 
     @pytest.mark.parametrize("args, match", [
         ((2, [3, 1], [1, 1], 2), "strictly increasing"),

@@ -69,6 +69,19 @@ class TestBell:
         err = capsys.readouterr().err
         assert err.startswith("error: --shots") and "Traceback" not in err
 
+    @pytest.mark.parametrize("device", [[], ["--latency-ms", "0"]],
+                             ids=["sim", "qpu"])
+    @pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
+    def test_negative_seed_exit_3(self, capsys, monkeypatch, device,
+                                  from_env):
+        argv = ["bell", "--shots", "10", *device]
+        if from_env:
+            monkeypatch.setenv("QOFFLOAD_SEED", "-1")
+        else:
+            argv += ["--seed", "-1"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+
     def test_seed_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("QOFFLOAD_SEED", "13")
         main(["bell", "--shots", "500"])

@@ -8,10 +8,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qoffload import sim, vqe
-from qoffload.circuit import (PARAMETRIC_KINDS, GateKind, bell_circuit,
-                              create_circuit, gate_matrix)
+from qoffload.circuit import (PARAMETRIC_KINDS, Gate, GateKind,
+                              bell_circuit, create_circuit, gate_matrix)
 from qoffload.resman import serve
 from qoffload.runtime import Device, DeviceKind, DeviceRegistry
 from qoffload.vqe import (
@@ -213,12 +214,13 @@ class TestPauliEvaluation:
 
     def test_direct_expectation_matches_basis_rotated_route(self,
                                                             fresh_rows):
-        # Random circuits over every gate kind give complex states, so
-        # strings with an odd number of Y factors have nonzero expectations.
+        # Exact mode reads real states, as random circuits of real-row gate
+        # kinds give.
         rng = random.Random(33)
         for _ in range(60):
             n = rng.randint(1, 5)
-            body = random_circuit(rng, n, rng.randint(1, 25), measured=False)
+            body = random_circuit(rng, n, rng.randint(1, 25), measured=False,
+                                  kinds=REAL_KINDS)
             ops = "".join(rng.choice("IXYZ") for _ in range(n))
             state = sim.run_statevector(body)
             [direct] = _exact_values(body, [PauliTerm(1.0, ops)], None, None)
@@ -290,16 +292,17 @@ class TestTermRows:
         estimate_expectation(h, AnsatzSpec(2, 1), [0.3, 0.4], shots=0)
         key, table = vqe._kept_table
         assert key == (("XY", "ZI", "YY"), 2)
-        assert table.gather.shape == table.signs.shape == (3, 4)
+        # Only the even-Y terms have rows, in term order: XY has none.
+        assert table.gather.shape == table.signs.shape == (2, 4)
         assert table.gather.dtype == np.int64
         assert table.signs.dtype == np.float64
-        # The even-Y rows lead, their +-1 phase folded into their signs.
-        assert table.even == 2
-        assert table.order.tolist() == [1, 2, 0]
-        assert table.phases.tolist() == [1, 1, 1j]
+        assert table.terms.dtype == np.intp
+        assert table.terms.tolist() == [1, 2]
+        assert table.gather.tolist() == [[0, 1, 2, 3], [3, 2, 1, 0]]
+        assert table.signs[0].tolist() == [1.0, 1.0, -1.0, -1.0]
+        # YY's i^2 = -1 is folded into its parity signs (1, -1, -1, 1).
         assert table.signs[1].tolist() == [-1.0, 1.0, 1.0, -1.0]
-        for array in (table.gather, table.signs, table.phases, table.order,
-                      table.gather[:table.even], table.signs[:table.even]):
+        for array in table:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
@@ -322,24 +325,17 @@ class TestTermRows:
 
     def test_threads_sharing_the_slot_match_one_thread(self, fresh_rows):
         # Four Hamiltonians and one kept table: the threads replace it under
-        # each other, reading real ansatz states and complex states of
-        # random circuits in turn.
+        # each other while they read ansatz states.
         rng = random.Random(64)
         spec = AnsatzSpec(6, 2)
         hamiltonians = [_random_hamiltonian(rng, 6, 9) for _ in range(4)]
         thetas = [[rng.uniform(-3, 3) for _ in range(spec.num_parameters)]
                   for _ in range(5)]
-        bodies = [random_circuit(rng, 6, 30, measured=False)
-                  for _ in range(3)]
-        assert all(sim.run_statevector(body).imag.any() for body in bodies)
 
         def evaluations(h):
-            terms = [t for t in h.terms if not t.is_identity]
-            for i in range(50):
+            for i in range(100):
                 yield estimate_expectation(h, spec, thetas[i % len(thetas)],
                                            shots=0)
-                yield _exact_values(bodies[i % len(bodies)], terms, None,
-                                    None)
 
         expected = [list(evaluations(h)) for h in hamiltonians]
         vqe._kept_table = None
@@ -392,48 +388,58 @@ def _strings_of_y_parity(rng, n, parity, count):
 
 class TestExactValues:
     @pytest.mark.parametrize("budget", ["kept", "blocks-of-two", "one-each"])
-    def test_real_and_complex_states_match_dense(self, monkeypatch,
-                                                 fresh_rows, budget):
+    def test_real_states_match_dense(self, monkeypatch, fresh_rows,
+                                     budget):
         rng = random.Random(65)
-        complex_states = 0
         for n in range(1, 9):
             if budget == "blocks-of-two":
                 monkeypatch.setattr(vqe, "_TERM_ROWS_BUDGET",
                                     2 * vqe._ROW_BYTES << n)
             elif budget == "one-each":
                 monkeypatch.setattr(vqe, "_TERM_ROWS_BUDGET", 1)
-            for real in (True, False):
-                kinds = REAL_KINDS if real else tuple(GateKind)
-                for _ in range(3):
-                    body = random_circuit(rng, n, rng.randint(1, 4 * n),
-                                          measured=False, kinds=kinds)
-                    state = sim.run_statevector(body)
-                    assert real <= (not state.imag.any())
-                    complex_states += bool(state.imag.any())
-                    odd = _strings_of_y_parity(rng, n, 1, 3)
-                    even = _strings_of_y_parity(rng, n, 0, 3)
-                    strings = [ops for pair in zip(odd, even) for ops in pair]
-                    values = _exact_values(
-                        body, [PauliTerm(1.0, ops) for ops in strings],
-                        None, None)
-                    assert all(type(value) is float for value in values)
-                    for ops, value in zip(strings, values):
-                        dense = np.vdot(state,
-                                        pauli_string_matrix(ops) @ state).real
-                        assert abs(value - dense) < 1e-12
-                        if real and ops.count("Y") % 2:
-                            assert value == 0.0
+            for _ in range(6):
+                body = random_circuit(rng, n, rng.randint(1, 4 * n),
+                                      measured=False, kinds=REAL_KINDS)
+                state = sim.run_statevector(body)
+                odd = _strings_of_y_parity(rng, n, 1, 3)
+                even = _strings_of_y_parity(rng, n, 0, 3)
+                strings = [ops for pair in zip(odd, even) for ops in pair]
+                values = _exact_values(
+                    body, [PauliTerm(1.0, ops) for ops in strings], None, None)
+                assert all(type(value) is float for value in values)
+                for ops, value in zip(strings, values):
+                    dense = np.vdot(state,
+                                    pauli_string_matrix(ops) @ state).real
+                    assert abs(value - dense) < 1e-12
+                    if ops.count("Y") % 2:
+                        assert value == 0.0
             assert (vqe._kept_table is not None) is (budget == "kept")
             monkeypatch.setattr(vqe, "_kept_table", None)
-        assert complex_states >= 16
 
-    def test_ansatz_states_are_real(self):
-        rng = random.Random(66)
-        for n in range(1, 11):
-            spec = AnsatzSpec(n, 2)
-            theta = [rng.uniform(-3, 3) for _ in range(spec.num_parameters)]
-            state = sim.run_statevector(build_ansatz_body(spec, theta))
-            assert not state.imag.any()
+    @given(num_qubits=st.integers(1, 12), layers=st.integers(1, 3),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_ansatz_states_are_real(self, num_qubits, layers, data):
+        spec = AnsatzSpec(num_qubits, layers)
+        angle = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(-8, 8).map(lambda k: k * math.pi / 2))
+        theta = data.draw(st.lists(angle, min_size=spec.num_parameters,
+                                   max_size=spec.num_parameters))
+        state = sim.run_statevector(build_ansatz_body(spec, theta))
+        assert not state.imag.any()
+
+    @pytest.mark.parametrize("kind, param", [(GateKind.S, None),
+                                             (GateKind.RX, 0.3)])
+    def test_complex_state_is_refused(self, fresh_rows, kind, param):
+        body = create_circuit(2)
+        body.h(0)
+        body.ry(1, 0.4)
+        body.apply(Gate(kind, (0,), param))
+        assert sim.run_statevector(body).imag.any()
+        with pytest.raises(VqeError, match="real"):
+            _exact_values(body, [PauliTerm(1.0, "ZY")], None, None)
+        assert vqe._kept_table is None
 
 
 class TestEstimateExpectation:
