@@ -2,13 +2,12 @@
 
 Hardware-efficient ansatz (one RY per qubit per layer, CX ring entanglers),
 Pauli-sum expectation estimation and a Nelder-Mead variational loop.
-Shots = 0 selects exact (shot-free) expectation values on the local
-simulator, used for optimizer validation: the ansatz is simulated once per
-parameter vector and every Pauli term is read off that one statevector at
-once, with one gather and one matrix-vector product over a table of stacked
-rows built once per Hamiltonian and register size. The RY/CX-ring ansatz
-gives real states, and exact mode reads only those (any other raises
-`VqeError`), on their float64 amplitudes: a term with an odd number of Y
+Shots = 0 selects exact (shot-free) expectation values, used for optimizer
+validation. The RY/CX-ring ansatz gives real states, so exact mode simulates
+it here on float64 amplitudes, with no circuit and no complex state, once
+per parameter vector. Every Pauli term is read off that one state at once,
+with one gather and one matrix-vector product over a table of stacked rows
+built once per Hamiltonian and register size: a term with an odd number of Y
 factors is 0 on a real state and has no row, and every other term has a
 gather index and a sign row. The last table that fits a fixed byte budget
 is kept; a larger one is built and read in blocks of terms at each
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import sim
 from .circuit import (DEFAULT_MAX_QUBITS, Circuit, Gate, GateKind,
-                      create_circuit)
+                      GateParameterError, create_circuit)
 from .runtime import DeviceKind, DeviceRegistry, JobFailedError
 
 PAULI_CHARS = frozenset("IXYZ")
@@ -143,14 +142,23 @@ def _cx_ring(num_qubits: int) -> tuple[Gate, ...]:
                  for q in range(num_qubits))
 
 
-def build_ansatz_body(spec: AnsatzSpec, theta) -> Circuit:
-    """Unmeasured ansatz circuit: per layer, RY on every qubit then a CX
-    ring i -> (i+1) mod n (no ring for a single qubit)."""
+def _angles(spec: AnsatzSpec, theta) -> list:
+    """`theta` as a list, checked to hold one finite angle per parameter.
+    A non-finite angle raises the error its RY gate would."""
     theta = list(theta)
     if len(theta) != spec.num_parameters:
         raise VqeError(
             f"expected {spec.num_parameters} parameters, got {len(theta)}"
         )
+    if not all(map(math.isfinite, theta)):
+        raise GateParameterError("ry parameter must be finite")
+    return theta
+
+
+def build_ansatz_body(spec: AnsatzSpec, theta) -> Circuit:
+    """Unmeasured ansatz circuit: per layer, RY on every qubit then a CX
+    ring i -> (i+1) mod n (no ring for a single qubit)."""
+    theta = _angles(spec, theta)
     n = spec.num_qubits
     ring = _cx_ring(n)
     circuit = create_circuit(n)
@@ -160,6 +168,41 @@ def build_ansatz_body(spec: AnsatzSpec, theta) -> Circuit:
         for gate in ring:
             circuit.apply(gate)
     return circuit
+
+
+def _ansatz_state(spec: AnsatzSpec, theta: list) -> np.ndarray:
+    """The float64 amplitudes of the ansatz at `theta`, checked by
+    `_angles`: the state `sim.run_statevector(build_ansatz_body(spec,
+    theta))` gives, whose imaginary part is 0, built with no circuit.
+
+    RY(t) is [[c, -s], [s, c]] with c = cos(t/2) and s = sin(t/2). So the
+    first layer turns |0...0> into the product of its qubits' (c, s) pairs,
+    each CX ring is one gather through the simulator's index of the ring,
+    and each later RY is one elementwise update of the state viewed with the
+    qubit's bit as its middle axis. The products and sums are those that
+    `sim` makes on the real parts, so the amplitudes equal its own.
+    """
+    n = spec.num_qubits
+    pairs = [(math.cos(t / 2.0), math.sin(t / 2.0)) for t in theta]
+    state = np.array(pairs[0])
+    for pair in pairs[1:n]:  # qubit q is bit q: its pair is the outer axis
+        state = np.multiply.outer(pair, state).ravel()
+    ring = _cx_ring(n)
+    # The simulator keeps the gather indices of small registers only; a
+    # larger register's ring index is built at each call.
+    permutation = (sim._permutation if n <= sim._FUSE_MAX_QUBITS
+                   else sim._permutation.__wrapped__)
+    index = permutation(ring, n) if ring else None
+    for layer in range(spec.layers):
+        if layer:
+            for q, (c, s) in enumerate(pairs[layer * n:(layer + 1) * n]):
+                view = state.reshape(-1, 2, 1 << q)
+                state = view * c
+                state += view[:, ::-1] * np.array([[-s], [s]])
+                state = state.reshape(-1)
+        if index is not None:
+            state = state.take(index)
+    return state
 
 
 def basis_change(body: Circuit, operators: str) -> Circuit:
@@ -287,13 +330,13 @@ def estimate_expectation(hamiltonian: Hamiltonian, spec: AnsatzSpec, theta,
         raise VqeError("ansatz and Hamiltonian qubit counts differ")
     if shots < 0:
         raise VqeError("shots must be >= 0")
-    body = build_ansatz_body(spec, theta)
     terms = [term for term in hamiltonian.terms if not term.is_identity]
     if shots == 0:
-        values = _exact_values(body, terms, registry, device_name)
+        values = _exact_values(spec, _angles(spec, theta), terms, registry,
+                               device_name)
     else:
-        values = _sampled_values(body, terms, shots, registry, device_name,
-                                 seeds)
+        values = _sampled_values(build_ansatz_body(spec, theta), terms,
+                                 shots, registry, device_name, seeds)
     values = iter(values)
     energy = 0.0
     for term in hamiltonian.terms:
@@ -302,22 +345,18 @@ def estimate_expectation(hamiltonian: Hamiltonian, spec: AnsatzSpec, theta,
     return energy
 
 
-def _exact_values(body: Circuit, terms: list[PauliTerm],
+def _exact_values(spec: AnsatzSpec, theta: list, terms: list[PauliTerm],
                   registry: DeviceRegistry | None,
                   device_name: str | None) -> list[float]:
-    """<P> of each term, read off one local simulation of `body`, whose
-    state must be real."""
+    """<P> of each term, read off the ansatz state at `theta`, checked by
+    `_angles`."""
     if registry is not None and device_name is not None:
         if registry.device(device_name).kind is DeviceKind.REMOTE:
             raise VqeError("exact mode is local-simulator only")
     if not terms:
         return []
-    state = sim.run_statevector(body)
-    if state.imag.any():
-        raise VqeError("exact mode reads only real states, as the ansatz "
-                       "gives")
     return _term_values(tuple(term.operators for term in terms),
-                        body.num_qubits, np.ascontiguousarray(state.real))
+                        spec.num_qubits, _ansatz_state(spec, theta))
 
 
 def _sampled_values(body: Circuit, terms: list[PauliTerm], shots: int,
@@ -412,6 +451,10 @@ def optimize(hamiltonian: Hamiltonian, spec: AnsatzSpec, config: VqeConfig,
         )
     if not np.all(np.isfinite(theta0)):
         raise VqeError("initial theta must be finite")
+    if config.max_iterations < 0:
+        raise VqeError("max_iterations must be >= 0")
+    if math.isnan(config.tolerance):
+        raise VqeError("tolerance must not be NaN")
     seeds = _seed_stream(config.seed)
     trace: list[float] = []
     round_trips: list[float] = []

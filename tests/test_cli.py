@@ -173,6 +173,10 @@ class TestVqe:
          "initial theta must be finite"),
         (["--shots", "-5"], "shots must be >= 0"),
         (["--shots", "-5", "--latency-ms", "0"], "shots must be >= 0"),
+        (["--max-iters", "-1"], "max_iterations must be >= 0"),
+        (["--tol", "nan"], "tolerance must not be NaN"),
+        (["--max-iters", "-1", "--tol", "nan", "--latency-ms", "0",
+          "--shots", "8"], "max_iterations must be >= 0"),
     ])
     def test_bad_flag_exit_3(self, h2min_file, capsys, flags, message):
         assert main(["vqe", h2min_file, *flags]) == 3

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qoffload import sim, vqe
-from qoffload.circuit import (PARAMETRIC_KINDS, Gate, GateKind,
-                              bell_circuit, create_circuit, gate_matrix)
+from qoffload.circuit import (PARAMETRIC_KINDS, GateKind,
+                              GateParameterError, bell_circuit,
+                              create_circuit, gate_matrix)
 from qoffload.resman import serve
 from qoffload.runtime import Device, DeviceKind, DeviceRegistry
 from qoffload.vqe import (
@@ -23,9 +24,10 @@ from qoffload.vqe import (
     VqeError,
     VqeAbortedError,
     VqeReport,
-    _exact_values,
+    _ansatz_state,
     _pauli_masks,
     _signs,
+    _term_values,
     basis_change,
     build_ansatz_body,
     estimate_expectation,
@@ -223,7 +225,7 @@ class TestPauliEvaluation:
                                   kinds=REAL_KINDS)
             ops = "".join(rng.choice("IXYZ") for _ in range(n))
             state = sim.run_statevector(body)
-            [direct] = _exact_values(body, [PauliTerm(1.0, ops)], None, None)
+            [direct] = _term_values((ops,), n, state.real)
             rotated = sim.run_statevector(basis_change(body, ops))
             via_basis = float(_popcount_signs(n, ops)
                               @ sim.exact_probabilities(rotated))
@@ -325,7 +327,8 @@ class TestTermRows:
 
     def test_threads_sharing_the_slot_match_one_thread(self, fresh_rows):
         # Four Hamiltonians and one kept table: the threads replace it under
-        # each other while they read ansatz states.
+        # each other while they read ansatz states, and all build and read
+        # the CX ring's gather index at once.
         rng = random.Random(64)
         spec = AnsatzSpec(6, 2)
         hamiltonians = [_random_hamiltonian(rng, 6, 9) for _ in range(4)]
@@ -339,6 +342,7 @@ class TestTermRows:
 
         expected = [list(evaluations(h)) for h in hamiltonians]
         vqe._kept_table = None
+        sim._permutation.cache_clear()
         barrier = threading.Barrier(len(hamiltonians))
         results = [[] for _ in hamiltonians]
         errors = []
@@ -404,8 +408,7 @@ class TestExactValues:
                 odd = _strings_of_y_parity(rng, n, 1, 3)
                 even = _strings_of_y_parity(rng, n, 0, 3)
                 strings = [ops for pair in zip(odd, even) for ops in pair]
-                values = _exact_values(
-                    body, [PauliTerm(1.0, ops) for ops in strings], None, None)
+                values = _term_values(tuple(strings), n, state.real)
                 assert all(type(value) is float for value in values)
                 for ops, value in zip(strings, values):
                     dense = np.vdot(state,
@@ -426,20 +429,29 @@ class TestExactValues:
             st.integers(-8, 8).map(lambda k: k * math.pi / 2))
         theta = data.draw(st.lists(angle, min_size=spec.num_parameters,
                                    max_size=spec.num_parameters))
-        state = sim.run_statevector(build_ansatz_body(spec, theta))
-        assert not state.imag.any()
+        state = _ansatz_state(spec, theta)
+        reference = sim.run_statevector(build_ansatz_body(spec, theta))
+        assert state.dtype == np.float64
+        assert not reference.imag.any()
+        assert np.abs(state - reference.real).max() < 1e-12
 
-    @pytest.mark.parametrize("kind, param", [(GateKind.S, None),
-                                             (GateKind.RX, 0.3)])
-    def test_complex_state_is_refused(self, fresh_rows, kind, param):
-        body = create_circuit(2)
-        body.h(0)
-        body.ry(1, 0.4)
-        body.apply(Gate(kind, (0,), param))
-        assert sim.run_statevector(body).imag.any()
-        with pytest.raises(VqeError, match="real"):
-            _exact_values(body, [PauliTerm(1.0, "ZY")], None, None)
-        assert vqe._kept_table is None
+
+def _count_simulations(monkeypatch) -> list[str]:
+    """A list that gets "ansatz" at each `vqe._ansatz_state` call and
+    "circuit" at each `sim.run_statevector` call."""
+    counted = []
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            counted.append(name)
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(vqe, "_ansatz_state",
+                        counting("ansatz", vqe._ansatz_state))
+    monkeypatch.setattr(sim, "run_statevector",
+                        counting("circuit", sim.run_statevector))
+    return counted
 
 
 class TestEstimateExpectation:
@@ -507,42 +519,51 @@ class TestEstimateExpectation:
         ([(0.5, "IIII")], 0),
     ])
     def test_exact_mode_simulates_once(self, monkeypatch, terms, calls):
-        counted = []
-        run_statevector = sim.run_statevector
-
-        def counting(circuit, *args, **kwargs):
-            counted.append(circuit)
-            return run_statevector(circuit, *args, **kwargs)
-
-        monkeypatch.setattr(sim, "run_statevector", counting)
+        counted = _count_simulations(monkeypatch)
         h = Hamiltonian.from_terms(terms)
         spec = AnsatzSpec(4, 1)
         for theta in ([0.1, 0.2, 0.3, 0.4], [1.0, -1.0, 2.0, -2.0]):
             counted.clear()
             estimate_expectation(h, spec, theta, shots=0)
-            assert len(counted) == calls
+            assert counted == ["ansatz"] * calls
 
     def test_optimize_simulates_once_per_evaluation(self, monkeypatch):
-        counted = []
+        counted = _count_simulations(monkeypatch)
         evaluations = []
-        run_statevector = sim.run_statevector
         estimate = vqe.estimate_expectation
-
-        def counting_run(circuit, *args, **kwargs):
-            counted.append(circuit)
-            return run_statevector(circuit, *args, **kwargs)
 
         def counting_estimate(*args, **kwargs):
             evaluations.append(None)
             return estimate(*args, **kwargs)
 
-        monkeypatch.setattr(sim, "run_statevector", counting_run)
         monkeypatch.setattr(vqe, "estimate_expectation", counting_estimate)
         config = VqeConfig(initial_theta=[0.1] * 4, max_iterations=10,
                            tolerance=0.0, shots=0)
         report = optimize(H2MIN, AnsatzSpec(2, 2), config)
         assert len(evaluations) == len(report.energy_trace) > 0
-        assert len(counted) == len(evaluations)
+        assert counted == ["ansatz"] * len(evaluations)
+
+    @pytest.mark.parametrize("shots", [0, 64])
+    @pytest.mark.parametrize("terms", [[(0.5, "II")],
+                                       [(0.5, "II"), (1.0, "XZ")]])
+    @pytest.mark.parametrize("theta, error, message", [
+        ([0.1], VqeError, "expected 2 parameters, got 1"),
+        ([0.1, math.nan], GateParameterError, "ry parameter must be finite"),
+        ([-math.inf, 0.2], GateParameterError, "ry parameter must be finite"),
+    ])
+    def test_bad_theta_raises_before_any_work(self, monkeypatch, registry,
+                                              shots, terms, theta, error,
+                                              message):
+        counted = _count_simulations(monkeypatch)
+        jobs = []
+        monkeypatch.setattr(registry, "submit_async",
+                            lambda *args: jobs.append(args))
+        with pytest.raises(error, match=f"^{message}$"):
+            estimate_expectation(Hamiltonian.from_terms(terms),
+                                 AnsatzSpec(2, 1), theta, shots, registry,
+                                 "sim0" if shots else None)
+        assert counted == []
+        assert jobs == []
 
     def test_sampled_converges_to_exact(self, registry):
         spec = AnsatzSpec(2, 1)
@@ -659,6 +680,21 @@ class TestOptimize:
         with pytest.raises(VqeError, match="finite") as exc:
             optimize(H2MIN, AnsatzSpec(2, 1), config, registry)
         assert not isinstance(exc.value, VqeAbortedError)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_iterations", -1, "max_iterations must be >= 0"),
+        ("tolerance", math.nan, "tolerance must not be NaN"),
+    ])
+    def test_bad_loop_settings_raise_before_any_evaluation(
+            self, monkeypatch, field, value, message):
+        evaluations = []
+        monkeypatch.setattr(vqe, "estimate_expectation",
+                            lambda *args: evaluations.append(args))
+        config = VqeConfig(initial_theta=[0.1, 0.2], shots=0)
+        setattr(config, field, value)
+        with pytest.raises(VqeError, match=f"^{message}$"):
+            optimize(H2MIN, AnsatzSpec(2, 1), config)
+        assert evaluations == []
 
     @pytest.mark.parametrize("shots", [0, 64])
     def test_each_evaluation_calls_the_module_global(self, monkeypatch,
