@@ -16,7 +16,7 @@ import sys
 import threading
 
 from . import resman, vqe as vqe_mod
-from .circuit import Circuit, bell_circuit, ghz3_circuit
+from .circuit import DEFAULT_MAX_QUBITS, Circuit, bell_circuit, ghz3_circuit
 from .qasm import QasmError, emit_qasm, parse_qasm
 from .qir import emit_qir
 from .runtime import (
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv = sub.add_parser("serve", help="run the resource manager service")
     p_srv.add_argument("--bind", default="127.0.0.1:7117")
     p_srv.add_argument("--latency-ms", type=float, default=0.0, dest="latency_ms")
-    p_srv.add_argument("--capacity", type=int, default=24)
+    p_srv.add_argument("--capacity", type=int, default=DEFAULT_MAX_QUBITS)
     p_srv.set_defaults(func=cmd_serve)
 
     p_vqe = sub.add_parser("vqe", help="run the variational eigensolver")

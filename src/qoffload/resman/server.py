@@ -14,7 +14,6 @@ before each request is processed, modelling the link latency of a remote
 from __future__ import annotations
 
 import itertools
-import math
 import socket
 import threading
 import time
@@ -54,8 +53,12 @@ class ResourceManagerServer:
                  capacity: int = DEFAULT_MAX_QUBITS,
                  latency: float = 0.0,
                  optimization_pass=None):
-        if not 0 <= latency < math.inf:
-            raise ValueError("latency must be a finite number >= 0")
+        # An hour at most: far above the paper's 0-50 ms sweep, and far
+        # below what `time.sleep` takes without raising.
+        if not 0 <= latency <= 3600:
+            raise ValueError("latency must be from 0 to 3600 seconds")
+        if capacity > DEFAULT_MAX_QUBITS:  # no larger register parses
+            raise ValueError(f"capacity must be <= {DEFAULT_MAX_QUBITS}")
         device = Device("resman", DeviceKind.LOCAL_SIMULATOR, capacity)
         self.capacity = capacity
         self.latency = latency

@@ -188,7 +188,7 @@ def _write_product_prefix(state: np.ndarray, gates: list[Gate]) -> int:
 def _permutation(run: tuple[Gate, ...], num_qubits: int) -> np.ndarray:
     """The read-only gather index of a run of permutation gates:
     `state.take(index)` is the state after the run. Threads share the kept
-    indices, as they share `vqe`'s term table."""
+    indices."""
     index = np.arange(1 << num_qubits, dtype=np.complex128)
     for gate in run:
         apply_gate(index, gate, num_qubits)

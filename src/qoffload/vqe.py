@@ -4,14 +4,15 @@ Hardware-efficient ansatz (one RY per qubit per layer, CX ring entanglers),
 Pauli-sum expectation estimation and a Nelder-Mead variational loop.
 Shots = 0 selects exact (shot-free) expectation values, used for optimizer
 validation. The RY/CX-ring ansatz gives real states, so exact mode simulates
-it here on float64 amplitudes, with no circuit and no complex state, once
-per parameter vector. Every Pauli term is read off that one state at once,
-with one gather and one matrix-vector product over a table of stacked rows
-built once per Hamiltonian and register size: a term with an odd number of Y
-factors is 0 on a real state and has no row, and every other term has a
-gather index and a sign row. The last table that fits a fixed byte budget
-is kept; a larger one is built and read in blocks of terms at each
-evaluation.
+it here on float64 amplitudes, with no circuit, no complex state and nothing
+of the simulator's, once per parameter vector; each CX ring is one gather
+through an index kept for the last register size. Every Pauli term is read
+off that one state at once, with one gather and one matrix-vector product
+over a table of stacked rows built once per Hamiltonian and register size:
+a term with an odd number of Y factors is 0 on a real state and has no row,
+and every other term has a gather index and a sign row. The last table that
+fits a fixed byte budget is kept; a larger one is built and read in blocks
+of terms at each evaluation.
 Sampled mode is the device-faithful path: one basis-rotated job per term,
 all submitted before any is waited on (`target nowait` regions, then a
 `taskwait`), so a remote device runs an evaluation's jobs as one batch
@@ -29,9 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import sim
-from .circuit import (DEFAULT_MAX_QUBITS, Circuit, Gate, GateKind,
-                      GateParameterError, create_circuit)
+from .circuit import (DEFAULT_MAX_QUBITS, Circuit, GateParameterError,
+                      create_circuit)
 from .runtime import DeviceKind, DeviceRegistry, JobFailedError
 
 PAULI_CHARS = frozenset("IXYZ")
@@ -132,16 +132,6 @@ class AnsatzSpec:
         return self.layers * self.num_qubits
 
 
-@functools.cache
-def _cx_ring(num_qubits: int) -> tuple[Gate, ...]:
-    """The CX ring i -> (i+1) mod n of an ansatz layer, built once per
-    register size and shared: a `Gate` is frozen."""
-    if num_qubits == 1:
-        return ()
-    return tuple(Gate(GateKind.CX, (q, (q + 1) % num_qubits))
-                 for q in range(num_qubits))
-
-
 def _angles(spec: AnsatzSpec, theta) -> list:
     """`theta` as a list, checked to hold one finite angle per parameter.
     A non-finite angle raises the error its RY gate would."""
@@ -160,14 +150,27 @@ def build_ansatz_body(spec: AnsatzSpec, theta) -> Circuit:
     ring i -> (i+1) mod n (no ring for a single qubit)."""
     theta = _angles(spec, theta)
     n = spec.num_qubits
-    ring = _cx_ring(n)
     circuit = create_circuit(n)
     for layer in range(spec.layers):
         for q in range(n):
             circuit.ry(q, theta[layer * n + q])
-        for gate in ring:
-            circuit.apply(gate)
+        if n > 1:
+            for q in range(n):
+                circuit.cx(q, (q + 1) % n)
     return circuit
+
+
+@functools.lru_cache(maxsize=1)
+def _ring_index(num_qubits: int) -> np.ndarray:
+    """The read-only gather index of the CX ring on n >= 2 qubits:
+    `state.take(index)` is the state after the ring. Entry k is the basis
+    state that the ring sends to k, so it is k with the ring undone, last
+    CX first; CX(q, t) flips bit t of k where bit q is set."""
+    index = np.arange(1 << num_qubits, dtype=np.int64)
+    for q in reversed(range(num_qubits)):
+        index ^= (index >> q & 1) << (q + 1) % num_qubits
+    index.setflags(write=False)
+    return index
 
 
 def _ansatz_state(spec: AnsatzSpec, theta: list) -> np.ndarray:
@@ -177,9 +180,9 @@ def _ansatz_state(spec: AnsatzSpec, theta: list) -> np.ndarray:
 
     RY(t) is [[c, -s], [s, c]] with c = cos(t/2) and s = sin(t/2). So the
     first layer turns |0...0> into the product of its qubits' (c, s) pairs,
-    each CX ring is one gather through the simulator's index of the ring,
-    and each later RY is one elementwise update of the state viewed with the
-    qubit's bit as its middle axis. The products and sums are those that
+    each CX ring is one gather through `_ring_index(n)`, and each later RY
+    is one elementwise update of the state viewed with the qubit's bit as
+    its middle axis. The products and sums are those that
     `sim` makes on the real parts, so the amplitudes equal its own.
     """
     n = spec.num_qubits
@@ -187,12 +190,6 @@ def _ansatz_state(spec: AnsatzSpec, theta: list) -> np.ndarray:
     state = np.array(pairs[0])
     for pair in pairs[1:n]:  # qubit q is bit q: its pair is the outer axis
         state = np.multiply.outer(pair, state).ravel()
-    ring = _cx_ring(n)
-    # The simulator keeps the gather indices of small registers only; a
-    # larger register's ring index is built at each call.
-    permutation = (sim._permutation if n <= sim._FUSE_MAX_QUBITS
-                   else sim._permutation.__wrapped__)
-    index = permutation(ring, n) if ring else None
     for layer in range(spec.layers):
         if layer:
             for q, (c, s) in enumerate(pairs[layer * n:(layer + 1) * n]):
@@ -200,8 +197,8 @@ def _ansatz_state(spec: AnsatzSpec, theta: list) -> np.ndarray:
                 state = view * c
                 state += view[:, ::-1] * np.array([[-s], [s]])
                 state = state.reshape(-1)
-        if index is not None:
-            state = state.take(index)
+        if n > 1:
+            state = state.take(_ring_index(n))
     return state
 
 
@@ -278,11 +275,11 @@ def _build_table(operators: tuple[str, ...], num_qubits: int) -> _TermTable:
 
 # A table costs 16 bytes per amplitude per row (an int64 gather index and a
 # float64 sign row), so a process keeps one, and only within this fixed
-# budget. The kept table is read-only, and a miss replaces the slot in one
-# assignment, so threads that evaluate at once can share it.
+# budget. The kept table is read-only, and `lru_cache` keeps its slot
+# consistent, so threads that evaluate at once can share it.
 _TERM_ROWS_BUDGET = 32 << 20
 _ROW_BYTES = 16
-_kept_table: tuple | None = None  # ((operators, num_qubits), table)
+_kept_table = functools.lru_cache(maxsize=1)(_build_table)
 
 
 def _term_values(operators: tuple[str, ...], num_qubits: int,
@@ -292,16 +289,9 @@ def _term_values(operators: tuple[str, ...], num_qubits: int,
     size) that fits `_TERM_ROWS_BUDGET`. A table over the budget is never
     kept: it is built and read afresh at each call, in blocks of terms that
     each fit the budget (one term, if one alone does not)."""
-    global _kept_table
-    key = (operators, num_qubits)
-    kept = _kept_table
     block = max(1, _TERM_ROWS_BUDGET // (_ROW_BYTES << num_qubits))
-    if kept is not None and kept[0] == key:
-        tables = [(0, kept[1])]
-    elif len(operators) <= block:
-        table = _build_table(operators, num_qubits)
-        _kept_table = key, table
-        tables = [(0, table)]
+    if len(operators) <= block:
+        tables = [(0, _kept_table(operators, num_qubits))]
     else:
         tables = ((start, _build_table(operators[start:start + block],
                                        num_qubits))

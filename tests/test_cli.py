@@ -57,11 +57,11 @@ class TestBell:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("latency_ms", ["-5", "nan", "inf"])
+    @pytest.mark.parametrize("latency_ms", ["-5", "nan", "inf", "1e13"])
     def test_bad_latency_exit_3(self, capsys, latency_ms):
         assert main(["bell", "--shots", "1", "--latency-ms", latency_ms]) == 3
         assert capsys.readouterr().err == (
-            "error: latency must be a finite number >= 0\n")
+            "error: latency must be from 0 to 3600 seconds\n")
 
     @pytest.mark.parametrize("shots", ["0", "-3"])
     def test_shots_below_one_exit_3(self, capsys, shots):
@@ -321,9 +321,10 @@ class TestServe:
 
     @pytest.mark.parametrize("flags, message", [
         (["--capacity", "0"], "capacity must be >= 1"),
-        (["--latency-ms", "-5"], "latency must be a finite number >= 0"),
-        (["--latency-ms", "nan"], "latency must be a finite number >= 0"),
-        (["--latency-ms", "inf"], "latency must be a finite number >= 0"),
+        (["--capacity", "25"], "capacity must be <= 24"),
+        (["--latency-ms", "-5"], "latency must be from 0 to 3600 seconds"),
+        (["--latency-ms", "nan"], "latency must be from 0 to 3600 seconds"),
+        (["--latency-ms", "inf"], "latency must be from 0 to 3600 seconds"),
     ])
     def test_bad_flag_exit_3(self, flags, message):
         proc = subprocess.run(

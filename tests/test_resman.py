@@ -56,11 +56,22 @@ class TestServer:
         with ResmanClient(server.address) as client:
             client.ping()
 
-    @pytest.mark.parametrize("value", [-1, math.nan, math.inf])
-    def test_latency_must_be_finite_and_not_negative(self, value):
+    @pytest.mark.parametrize("value", [-1, math.nan, math.inf, 3600.001,
+                                       1e10])
+    def test_latency_must_be_from_0_to_an_hour(self, value):
         with pytest.raises(ValueError,
-                           match="latency must be a finite number >= 0"):
+                           match="latency must be from 0 to 3600 seconds"):
             serve(latency=value)
+
+    def test_bounds_are_accepted(self):
+        serve(capacity=24, latency=3600.0).shutdown()
+
+    @pytest.mark.parametrize("capacity", [25, 30])
+    def test_capacity_must_fit_a_parsed_register(self, capacity):
+        # A job of more than 24 qubits fails to parse, so no job could use
+        # such a capacity.
+        with pytest.raises(ValueError, match="capacity must be <= 24"):
+            serve(capacity=capacity)
 
     def test_submit_and_fetch_matches_local(self, server):
         with ResmanClient(server.address) as client:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qoffload import sim, vqe
-from qoffload.circuit import (PARAMETRIC_KINDS, GateKind,
+from qoffload.circuit import (PARAMETRIC_KINDS, Gate, GateKind,
                               GateParameterError, bell_circuit,
                               create_circuit, gate_matrix)
 from qoffload.resman import serve
@@ -115,8 +115,7 @@ class TestAnsatz:
                 if n > 1:
                     for q in range(n):
                         expected.cx(q, (q + 1) % n)
-            for _ in range(2):  # the second build shares the kept ring
-                assert build_ansatz_body(spec, theta) == expected
+            assert build_ansatz_body(spec, theta) == expected
 
     def test_single_qubit_has_no_ring(self):
         circuit = build_ansatz_body(AnsatzSpec(1, 3), [0.1, 0.2, 0.3])
@@ -184,9 +183,21 @@ def _popcount_signs(num_qubits: int, operators: str) -> np.ndarray:
 
 
 @pytest.fixture
-def fresh_rows(monkeypatch):
-    """An empty slot of the kept term table for this test alone."""
-    monkeypatch.setattr(vqe, "_kept_table", None)
+def fresh_rows():
+    """An empty kept term table for this test alone."""
+    vqe._kept_table.cache_clear()
+    yield
+    vqe._kept_table.cache_clear()
+
+
+def _kept_rows(operators: tuple[str, ...], num_qubits: int):
+    """The kept table, checked to be the one kept for these strings and this
+    register size: reading it is a hit of the cache, not a build."""
+    before = vqe._kept_table.cache_info()
+    table = vqe._kept_table(operators, num_qubits)
+    after = vqe._kept_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    return table
 
 
 class TestPauliEvaluation:
@@ -274,7 +285,8 @@ class TestTermRows:
             for h in (a, b, a):
                 energy = estimate_expectation(h, spec, theta, shots=0)
                 assert abs(energy - _dense_energy(h, spec, theta)) < 1e-10
-        assert vqe._kept_table[0] == (("XYZI", "ZZII", "IYIY"), 4)
+        assert vqe._kept_table.cache_info().misses == 1
+        _kept_rows(("XYZI", "ZZII", "IYIY"), 4)
 
     def test_over_budget_rows_are_built_each_time(self, monkeypatch,
                                                   fresh_rows):
@@ -287,13 +299,13 @@ class TestTermRows:
         second = estimate_expectation(h, spec, theta, shots=0)
         assert first == second
         assert abs(first - _dense_energy(h, spec, theta)) < 1e-10
-        assert vqe._kept_table is None
+        info = vqe._kept_table.cache_info()
+        assert (info.misses, info.currsize) == (0, 0)
 
     def test_kept_rows_are_read_only(self, fresh_rows):
         h = Hamiltonian.from_terms([(1.0, "XY"), (0.5, "ZI"), (0.2, "YY")])
         estimate_expectation(h, AnsatzSpec(2, 1), [0.3, 0.4], shots=0)
-        key, table = vqe._kept_table
-        assert key == (("XY", "ZI", "YY"), 2)
+        table = _kept_rows(("XY", "ZI", "YY"), 2)
         # Only the even-Y terms have rows, in term order: XY has none.
         assert table.gather.shape == table.signs.shape == (2, 4)
         assert table.gather.dtype == np.int64
@@ -320,14 +332,15 @@ class TestTermRows:
             h = _random_hamiltonian(rng, 6, 5)  # identity and 4 terms
             energy = estimate_expectation(h, spec, theta, shots=0)
             assert abs(energy - _dense_energy(h, spec, theta)) < 1e-10
-            key, table = vqe._kept_table
-            assert key == (tuple(t.operators for t in h.terms
-                                 if not t.is_identity), 6)
+            assert vqe._kept_table.cache_info().currsize == 1
+            table = _kept_rows(tuple(t.operators for t in h.terms
+                                     if not t.is_identity), 6)
             assert table.gather.nbytes + table.signs.nbytes <= budget
 
     def test_threads_sharing_the_slot_match_one_thread(self, fresh_rows):
         # Four Hamiltonians and one kept table: the threads replace it under
-        # each other while they read ansatz states, and all build and read
+        # each other while they read ansatz states. Both caches are empty
+        # when they start, so they also build and read the kept table and
         # the CX ring's gather index at once.
         rng = random.Random(64)
         spec = AnsatzSpec(6, 2)
@@ -341,8 +354,8 @@ class TestTermRows:
                                            shots=0)
 
         expected = [list(evaluations(h)) for h in hamiltonians]
-        vqe._kept_table = None
-        sim._permutation.cache_clear()
+        vqe._kept_table.cache_clear()
+        vqe._ring_index.cache_clear()
         barrier = threading.Barrier(len(hamiltonians))
         results = [[] for _ in hamiltonians]
         errors = []
@@ -416,8 +429,9 @@ class TestExactValues:
                     assert abs(value - dense) < 1e-12
                     if ops.count("Y") % 2:
                         assert value == 0.0
-            assert (vqe._kept_table is not None) is (budget == "kept")
-            monkeypatch.setattr(vqe, "_kept_table", None)
+            kept = vqe._kept_table.cache_info().currsize
+            assert (kept == 1) is (budget == "kept")
+            vqe._kept_table.cache_clear()
 
     @given(num_qubits=st.integers(1, 12), layers=st.integers(1, 3),
            data=st.data())
@@ -434,6 +448,27 @@ class TestExactValues:
         assert state.dtype == np.float64
         assert not reference.imag.any()
         assert np.abs(state - reference.real).max() < 1e-12
+
+    def test_ring_index_is_the_simulators_gather_index(self):
+        for n in range(2, 14):
+            ring = tuple(Gate(GateKind.CX, (q, (q + 1) % n)) for q in range(n))
+            index = vqe._ring_index(n)
+            assert index.dtype == np.int64
+            assert np.array_equal(index,
+                                  sim._permutation.__wrapped__(ring, n))
+            assert not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[0] = 0
+
+    def test_ring_index_is_built_once_per_register_size(self):
+        rng = random.Random(66)
+        h = _random_hamiltonian(rng, 12, 4)
+        spec = AnsatzSpec(12, 2)
+        vqe._ring_index.cache_clear()
+        for _ in range(3):
+            theta = [rng.uniform(-3, 3) for _ in range(spec.num_parameters)]
+            estimate_expectation(h, spec, theta, shots=0)
+        assert vqe._ring_index.cache_info().misses == 1
 
 
 def _count_simulations(monkeypatch) -> list[str]:
