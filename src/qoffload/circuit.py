@@ -19,8 +19,8 @@ from operator import lt
 
 import numpy as np
 
-# Default register-size bound; keeps the statevector under ~256 MiB of
-# complex doubles. Override per call where a device allows more.
+# Register-size bound; keeps the statevector under ~256 MiB of complex
+# doubles. Every register is held to it: no device allows more.
 DEFAULT_MAX_QUBITS = 24
 
 
@@ -177,12 +177,11 @@ class Circuit:
                        False if unmeasured else self.measured)
 
 
-def create_circuit(num_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> Circuit:
+def create_circuit(num_qubits: int) -> Circuit:
     """New empty circuit over a register of the given size."""
-    if not isinstance(num_qubits, int) or num_qubits < 1 or num_qubits > max_qubits:
+    if not (isinstance(num_qubits, int) and 1 <= num_qubits <= DEFAULT_MAX_QUBITS):
         raise SizeOutOfRangeError(
-            f"register size must be in [1, {max_qubits}], got {num_qubits!r}"
-        )
+            f"register size must be in [1, {DEFAULT_MAX_QUBITS}], got {num_qubits!r}")
     return Circuit(num_qubits)
 
 

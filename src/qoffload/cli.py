@@ -139,7 +139,7 @@ def _load_input_circuit(args) -> Circuit:
     try:
         with open(args.input, encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {args.input}: {exc}", EXIT_INPUT)
     try:
         return parse_qasm(text)
@@ -154,8 +154,11 @@ def cmd_transpile(args) -> int:
         if parse_qasm(output) != circuit:
             raise CliError("round-trip check failed", EXIT_INPUT)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as f:
-            f.write(output)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as f:
+                f.write(output)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output}: {exc}", EXIT_INPUT)
     else:
         sys.stdout.write(output)
     return EXIT_OK
@@ -186,7 +189,7 @@ def cmd_serve(args) -> int:
 def cmd_vqe(args) -> int:
     try:
         hamiltonian = vqe_mod.Hamiltonian.load(args.hamiltonian)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {args.hamiltonian}: {exc}", EXIT_INPUT)
     except vqe_mod.VqeError as exc:
         raise CliError(f"bad Hamiltonian: {exc}", EXIT_INPUT)

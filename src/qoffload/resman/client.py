@@ -167,20 +167,33 @@ def _histogram(response: dict) -> tuple[Histogram, float]:
     return histogram, wall
 
 
+def checked_outcome(outcome, circuit: Circuit, shots: int):
+    """A job's outcome from `run_batch` as it is, unless it is a histogram of
+    another qubit or shot count: then the `MalformedMessageError` for it."""
+    if isinstance(outcome, Exception) or (
+            outcome.num_qubits, outcome.shots) == (circuit.num_qubits, shots):
+        return outcome
+    return protocol.MalformedMessageError(
+        f"Result of {outcome.num_qubits} qubits and {outcome.shots} shots "
+        f"for a job of {circuit.num_qubits} qubits and {shots} shots")
+
+
 def client_submit(endpoint: tuple[str, int], circuit: Circuit,
                   shots: int, seed: int,
                   timeout: float = 120.0) -> JobResult:
     """Run a circuit, sent as QASM, and return its histogram: one
     `SubmitJob` of one job on a new connection, so one request. The reply
     must come within `timeout` seconds, or `TimeoutError` is raised; a job
-    the server rejects or fails raises its `ServerError`.
+    the server rejects or fails raises its `ServerError`, and a reply that
+    is no `Result` of the job's qubit and shot count, `MalformedMessageError`.
 
     wall_time is the measured client-side round trip.
     """
     qasm = emit_qasm(circuit)
     start = time.monotonic()
     with ResmanClient(endpoint, timeout=timeout) as client:
-        [histogram] = client.run_batch([(qasm, shots, seed)])
+        [outcome] = client.run_batch([(qasm, shots, seed)])
+    histogram = checked_outcome(outcome, circuit, shots)
     if isinstance(histogram, Exception):
         raise histogram
     finished = time.monotonic()

@@ -105,10 +105,10 @@ def recv_message(sock: socket.socket) -> dict | None:
 
 
 def _decode_body(body: bytes) -> dict:
-    """The message a frame's body holds."""
+    """The message a frame's body holds; a body JSON cannot decode is malformed."""
     try:
         msg = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedMessageError(f"invalid frame body: {exc}") from exc
     return validate_message(msg)
 

@@ -13,7 +13,6 @@ before each request is processed, modelling the link latency of a remote
 """
 from __future__ import annotations
 
-import itertools
 import socket
 import threading
 import time
@@ -21,8 +20,8 @@ import time
 from .. import sim
 from ..circuit import DEFAULT_MAX_QUBITS, Histogram
 from ..qasm import QasmError, parse_qasm
-from ..runtime import (Device, DeviceKind, DeviceWorker, Job, JobHandle,
-                       LocalSimulatorBackend)
+from ..runtime import (CapacityExceededError, Device, DeviceKind,
+                       DeviceWorker, Job, JobHandle, LocalSimulatorBackend)
 from . import protocol
 
 
@@ -39,7 +38,7 @@ class _PassThenSimulate(LocalSimulatorBackend):
     """The server's device backend: optimization pass, then simulation."""
 
     def __init__(self, optimization_pass):
-        self.optimization_pass = optimization_pass
+        self.optimization_pass = optimization_pass or (lambda circuit: circuit)
 
     def run(self, job: Job) -> Histogram:
         return sim.run_and_sample(self.optimization_pass(job.circuit),
@@ -60,10 +59,7 @@ class ResourceManagerServer:
         if capacity > DEFAULT_MAX_QUBITS:  # no larger register parses
             raise ValueError(f"capacity must be <= {DEFAULT_MAX_QUBITS}")
         device = Device("resman", DeviceKind.LOCAL_SIMULATOR, capacity)
-        self.capacity = capacity
         self.latency = latency
-        # Hook for circuit rewriting before execution; identity by default.
-        self.optimization_pass = optimization_pass or (lambda circuit: circuit)
 
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
@@ -75,11 +71,9 @@ class ResourceManagerServer:
             raise
         self.address: tuple[str, int] = self._sock.getsockname()
 
-        self._ids = itertools.count(1)
         self._shutdown = threading.Event()
 
-        self._worker = DeviceWorker(device,
-                                    _PassThenSimulate(self.optimization_pass))
+        self._worker = DeviceWorker(device, _PassThenSimulate(optimization_pass))
         self._acceptor = threading.Thread(target=self._accept_loop, daemon=True,
                                           name="resman-accept")
 
@@ -201,16 +195,10 @@ class ResourceManagerServer:
             circuit = parse_qasm(entry["qasm"])
         except QasmError as exc:
             return protocol.error("PARSE", str(exc))
-        if circuit.num_qubits > self.capacity:
-            return protocol.error(
-                "CAPACITY",
-                f"circuit needs {circuit.num_qubits} qubits, capacity is {self.capacity}",
-            )
-        job = Job(circuit, entry["shots"], entry["seed"],
-                  submitted_at=time.monotonic())
-        handle = JobHandle(next(self._ids), self._worker.device.name)
-        self._worker.submit(job, handle)
-        return handle
+        try:
+            return self._worker.submit(circuit, entry["shots"], entry["seed"])
+        except CapacityExceededError as exc:
+            return protocol.error("CAPACITY", str(exc))
 
     @staticmethod
     def _answer(handle: JobHandle) -> dict:

@@ -6,7 +6,8 @@ most one job executes per device and submission order is completion order.
 handle (the `nowait` analogue) that any thread may wait on, so
 `submit_async` calls followed by a wait on each handle are `target nowait`
 regions followed by a `taskwait`. A handle is settled once, with the job's
-result or the exception that failed it.
+result or the exception that failed it. `DeviceWorker.submit` alone admits
+jobs, the registry's and the resource-manager server's alike.
 
 When a worker wakes, it takes every job already queued as one batch and
 hands it to its backend's `run_batch`, which runs the jobs one by one with
@@ -198,8 +199,8 @@ class RemoteBackend(Backend):
         the exception that fails it, in order, as its reply arrives. Once
         the unanswered jobs cannot be run, each of them gets the error."""
         # Imported here: the resman client imports this module.
-        from .resman.client import ResmanClient
-        from .resman.protocol import MalformedMessageError, ProtocolError
+        from .resman.client import ResmanClient, checked_outcome
+        from .resman.protocol import ProtocolError
 
         entries = [(emit_qasm(job.circuit), job.shots, job.seed) for job in jobs]
         answered = 0
@@ -212,15 +213,7 @@ class RemoteBackend(Backend):
                 for outcome in self._client.run_batch(entries[answered:]):
                     job = jobs[answered]
                     answered += 1
-                    if not isinstance(outcome, Exception) and (
-                            outcome.num_qubits, outcome.shots) != (
-                            job.circuit.num_qubits, job.shots):
-                        outcome = MalformedMessageError(
-                            f"Result of {outcome.num_qubits} qubits and "
-                            f"{outcome.shots} shots for a job of "
-                            f"{job.circuit.num_qubits} qubits and "
-                            f"{job.shots} shots")
-                    yield outcome
+                    yield checked_outcome(outcome, job.circuit, job.shots)
             except Exception as exc:
                 self.close()  # unread frames of this batch must not answer the next
                 if isinstance(exc, TimeoutError):
@@ -236,6 +229,10 @@ class RemoteBackend(Backend):
         if self._client is not None:
             self._client.close()
             self._client = None
+
+
+# Job ids, unique in the process whichever device admits the job.
+_job_ids = itertools.count(1)
 
 
 class DeviceWorker:
@@ -257,14 +254,22 @@ class DeviceWorker:
         )
         self.thread.start()
 
-    def submit(self, job: Job, handle: JobHandle) -> None:
-        """Queue the job; once `stop` was called, fail it instead, since no
-        thread would ever run it and its handle would wait forever."""
+    def submit(self, circuit: Circuit, shots: int, seed: int) -> JobHandle:
+        """Check a job against the device's capacity, build it and queue it;
+        once `stop` was called, its handle comes back failed instead, since
+        no thread would ever run the job and the handle would wait forever."""
+        if circuit.num_qubits > self.device.capacity:
+            raise CapacityExceededError(
+                f"circuit needs {circuit.num_qubits} qubits, device "
+                f"{self.device.name!r} has capacity {self.device.capacity}")
+        job = Job(circuit, shots, seed, submitted_at=time.monotonic())
+        handle = JobHandle(next(_job_ids), self.device.name)
         with self._lock:
             if not self._stopped:
                 self.jobs.put((job, handle))
-                return
+                return handle
         handle._settle(RuntimeError_(f"device {self.device.name!r} is shut down"))
+        return handle
 
     def _run(self) -> None:
         while True:
@@ -318,7 +323,6 @@ class DeviceRegistry:
 
     def __init__(self):
         self._workers: dict[str, DeviceWorker] = {}
-        self._ids = itertools.count(1)
         self._lock = threading.Lock()
 
     def register(self, device: Device, backend: Backend | None = None) -> None:
@@ -349,15 +353,7 @@ class DeviceRegistry:
             worker = self._workers.get(device_name)
         if worker is None:
             raise UnknownDeviceError(f"no device named {device_name!r}")
-        if circuit.num_qubits > worker.device.capacity:
-            raise CapacityExceededError(
-                f"circuit needs {circuit.num_qubits} qubits, "
-                f"device {device_name!r} has capacity {worker.device.capacity}"
-            )
-        job = Job(circuit, shots, seed, submitted_at=time.monotonic())
-        handle = JobHandle(next(self._ids), device_name)
-        worker.submit(job, handle)
-        return handle
+        return worker.submit(circuit, shots, seed)
 
     def submit_sync(self, device_name: str, circuit: Circuit,
                     shots: int, seed: int) -> JobResult:

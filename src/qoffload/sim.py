@@ -121,15 +121,14 @@ def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int) -> None:
         blocks[r][...] = value
 
 
-def run_statevector(circuit: Circuit,
-                    max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
+def run_statevector(circuit: Circuit) -> np.ndarray:
     """Evolve |0...0> through the circuit's gates in order: the product-state
     prefix first, then each permutation run of a register of at most
     `_FUSE_MAX_QUBITS` as one gather, and every other gate by `apply_gate`."""
     n = circuit.num_qubits
-    if n > max_qubits:
+    if n > DEFAULT_MAX_QUBITS:  # a hand-built `Circuit` may be larger
         raise SizeOutOfRangeError(
-            f"circuit has {n} qubits, limit is {max_qubits}")
+            f"circuit has {n} qubits, limit is {DEFAULT_MAX_QUBITS}")
     state = initial_state(n)
     start = _write_product_prefix(state, circuit.gates)
     fuse = n <= _FUSE_MAX_QUBITS

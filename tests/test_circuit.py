@@ -44,7 +44,6 @@ class TestCreateCircuit:
     def test_above_max_rejected(self):
         with pytest.raises(SizeOutOfRangeError):
             create_circuit(25)
-        create_circuit(25, max_qubits=30)  # configurable bound
 
 
 class TestApplyGate:

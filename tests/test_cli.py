@@ -130,6 +130,21 @@ class TestTranspile:
     def test_missing_input_exit_3(self, capsys):
         assert main(["transpile", "--to", "qasm"]) == 3
 
+    def test_undecodable_input_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.qasm"
+        bad.write_bytes(b"\xff\xfe")
+        assert main(["transpile", str(bad), "--to", "qasm"]) == 3
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_unwritable_output_exit_3(self, tmp_path, capsys):
+        out_file = tmp_path / "missing" / "out.qasm"
+        rc = main(["transpile", "--builtin", "bell", "--to", "qasm",
+                   "-o", str(out_file)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot write" in captured.err
+
 
 class TestVqe:
     def test_exact_mode_energy(self, h2min_file, capsys):
@@ -163,6 +178,12 @@ class TestVqe:
 
     def test_missing_file_exit_3(self, capsys):
         assert main(["vqe", "/nonexistent/h.txt"]) == 3
+
+    def test_undecodable_file_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "h.txt"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["vqe", str(path)]) == 3
+        assert "cannot read" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, message", [
         (["--layers", "0"], "--layers must be >= 1"),

@@ -78,8 +78,10 @@ class TestFraming:
         with pytest.raises(protocol.MalformedMessageError):
             protocol.decode_frame(struct.pack("!I", len(body)) + body)
 
-    def test_invalid_json_body(self):
-        body = b"{not json"
+    @pytest.mark.parametrize("body", [b"{not json", b"1" * 5000,
+                                      b"[" * 100000],
+                             ids=["not-json", "long-integer", "deep-nesting"])
+    def test_invalid_json_body(self, body):
         with pytest.raises(protocol.MalformedMessageError):
             protocol.decode_frame(struct.pack("!I", len(body)) + body)
 

@@ -28,6 +28,20 @@ def _failing_pass(circuit):
     raise ValueError("pass rejected the circuit")
 
 
+def _raw_body(body: bytes) -> bytes:
+    """`body` as one frame, sent as it is."""
+    return struct.pack("!I", len(body)) + body
+
+
+# Result corruptions that leave a valid histogram, but not of the job the
+# Result answers.
+_WRONG_SHAPE = {
+    "wrong-num-qubits": lambda r: dict(r, num_qubits=r["num_qubits"] + 1),
+    "wrong-shots": lambda r: dict(
+        r, counts=[r["counts"][0] + 1, *r["counts"][1:]], shots=r["shots"] + 1),
+}
+
+
 @pytest.fixture
 def server():
     srv = serve()
@@ -148,6 +162,9 @@ class TestServer:
                 with pytest.raises(ServerError) as exc:
                     client.fetch(protocol.submit_batch([(qasm, 10, 0)]))
             assert exc.value.code == "CAPACITY"
+            # The device's admission check answers, with the device's name.
+            assert str(exc.value) == ("CAPACITY: circuit needs 3 qubits, "
+                                      "device 'resman' has capacity 2")
         finally:
             srv.shutdown()
 
@@ -163,15 +180,21 @@ class TestServer:
             assert response["kind"] == "Error"
             assert response["code"] == "UNSUPPORTED"
 
-    def test_bad_frame_answered_not_dropped(self, server):
-        import socket
-        import struct
-
+    @pytest.mark.parametrize("frame", [
+        struct.pack("!I", 2 ** 26),  # oversized declaration
+        # Well-framed bodies that JSON cannot hold.
+        _raw_body(b"1" * 5000),
+        _raw_body(b"[" * 100000),
+    ], ids=["oversized", "long-integer", "deep-nesting"])
+    def test_bad_frame_answered_not_dropped(self, server, frame):
         with socket.create_connection(server.address, timeout=5) as sock:
-            sock.sendall(struct.pack("!I", 2 ** 26))  # oversized declaration
+            sock.sendall(frame)
             response = protocol.recv_message(sock)
         assert response["kind"] == "Error"
         assert response["code"] == "BAD_FRAME"
+        # The server still answers on a new connection.
+        with ResmanClient(server.address) as client:
+            client.ping()
 
     @pytest.mark.parametrize("body", [b'{"kind":[1]}', b'{"kind":{}}'],
                              ids=["list-kind", "object-kind"])
@@ -192,9 +215,10 @@ class TestServer:
         srv = serve(optimization_pass=optimization_pass)
         handles, submit = [], srv._worker.submit
 
-        def watched_submit(job, handle):
+        def watched_submit(circuit, shots, seed):
+            handle = submit(circuit, shots, seed)
             handles.append(weakref.ref(handle))
-            submit(job, handle)
+            return handle
 
         srv._worker.submit = watched_submit
         try:
@@ -644,10 +668,7 @@ class TestRemoteBackend:
         lambda r: dict(r, counts=[r["counts"][0] + 1, *r["counts"][1:]]),
         lambda r: {k: v for k, v in r.items() if k != "server_wall_time"},
         lambda r: dict(r, server_wall_time="0.1"),
-        # Valid histograms, but not of the job they answer.
-        lambda r: dict(r, num_qubits=r["num_qubits"] + 1),
-        lambda r: dict(r, counts=[r["counts"][0] + 1, *r["counts"][1:]],
-                       shots=r["shots"] + 1),
+        *_WRONG_SHAPE.values(),
         # The dense form of an older server: all 2^n counts, no `outcomes`
         # and no `num_qubits`.
         lambda r: {"kind": "Result",
@@ -656,22 +677,9 @@ class TestRemoteBackend:
                    "server_wall_time": r["server_wall_time"]},
     ], ids=["unsorted", "duplicate", "out-of-range", "length-mismatch",
             "zero-count", "sum-not-shots", "missing-wall-time",
-            "str-wall-time", "wrong-num-qubits", "wrong-shots", "dense-form"])
+            "str-wall-time", *_WRONG_SHAPE, "dense-form"])
     def test_malformed_result_fails_only_its_job(self, corrupt):
-        # A server whose first request gets its first reply corrupted.
-        srv = serve()
-        replies, corrupted = srv._replies, []
-
-        def corrupt_first(msg):
-            frames = replies(msg)
-            if not corrupted:
-                corrupted.append(msg)
-                yield corrupt(next(frames))
-            yield from frames
-
-        srv._replies = corrupt_first
-        # Frames are sent as they are, unchecked, like a faulty server's.
-        srv._frame = _raw_frame
+        srv = _corrupting_server(corrupt)
         # 10 shots over 64 outcomes: every reply is sparse.
         spread = create_circuit(6)
         for q in range(6):
@@ -707,8 +715,26 @@ def _batch_of_one(circuit, shots: int, seed: int) -> dict:
 
 
 def _raw_frame(msg: dict) -> bytes:
-    body = json.dumps(msg).encode()
-    return struct.pack("!I", len(body)) + body
+    return _raw_body(json.dumps(msg).encode())
+
+
+def _corrupting_server(corrupt):
+    """A started server whose first request gets its first reply passed
+    through `corrupt`, and whose frames are sent as they are, unchecked,
+    like a faulty server's."""
+    srv = serve()
+    replies, corrupted = srv._replies, []
+
+    def corrupt_first(msg):
+        frames = replies(msg)
+        if not corrupted:
+            corrupted.append(msg)
+            yield corrupt(next(frames))
+        yield from frames
+
+    srv._replies = corrupt_first
+    srv._frame = _raw_frame
+    return srv
 
 
 class TestResultForm:
@@ -745,6 +771,17 @@ class TestResultForm:
 
 
 class TestClientSubmit:
+    @pytest.mark.parametrize("corrupt", _WRONG_SHAPE.values(),
+                             ids=list(_WRONG_SHAPE))
+    def test_result_of_another_shape_raises(self, corrupt):
+        srv = _corrupting_server(corrupt)
+        try:
+            with pytest.raises(protocol.MalformedMessageError,
+                               match="for a job of 2 qubits and 10 shots"):
+                client_submit(srv.address, bell_circuit(), 10, 0)
+        finally:
+            srv.shutdown()
+
     def test_remote_equals_local_20_random(self, server):
         rng = random.Random(2024)
         for _ in range(20):

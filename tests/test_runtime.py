@@ -153,6 +153,39 @@ class TestSubmitAsync:
         for _, result in ids:
             assert sum(result.histogram.counts) == 50
 
+    def test_job_ids_unique_across_registries(self, registry):
+        # Every job is admitted by `DeviceWorker.submit`, which draws its id
+        # from one counter for the whole process: jobs of two registries,
+        # submitted by threads that switch every few bytecodes, never share
+        # an id.
+        other = DeviceRegistry()
+        other.register(Device("sim0", DeviceKind.LOCAL_SIMULATOR))
+        handles, lock = [], threading.Lock()
+
+        def submitter(reg):
+            mine = [reg.submit_async("sim0", bell_circuit(), 10, seed)
+                    for seed in range(25)]
+            with lock:
+                handles.extend(mine)
+
+        threads = [threading.Thread(target=submitter, args=(reg,))
+                   for reg in [registry, other] * 4]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert all(h.wait(timeout=30) for h in handles)
+        finally:
+            sys.setswitchinterval(interval)
+            other.shutdown()
+        assert len(handles) == 200
+        assert len({h.job_id for h in handles}) == 200
+        assert all(h.error is None for h in handles)
+
     def test_cross_thread_wait(self, registry):
         handle = registry.submit_async("sim0", bell_circuit(), 100, 1)
         out = {}

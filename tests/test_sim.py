@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qoffload import sim
 from qoffload.circuit import (
+    Circuit,
     Gate,
     GateKind,
     PARAMETRIC_KINDS,
@@ -52,9 +53,9 @@ class TestRunStatevector:
             assert np.max(np.abs(sv - expected)) < 1e-10
 
     def test_capacity_limit(self):
-        c = create_circuit(5)
+        # A hand-built register above the bound that `create_circuit` keeps.
         with pytest.raises(SizeOutOfRangeError):
-            run_statevector(c, max_qubits=4)
+            run_statevector(Circuit(25))
 
     def test_norm_preserved_over_many_gates(self):
         rng = random.Random(7)
