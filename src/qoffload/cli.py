@@ -9,6 +9,7 @@ for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import signal
@@ -109,6 +110,8 @@ def cmd_bell(args) -> int:
     registry, name, server = _make_registry(args)
     try:
         result = registry.submit_sync(name, bell_circuit(), args.shots, args.seed)
+    except ValueError as exc:  # a seed of 2**64 or more
+        raise CliError(str(exc), EXIT_INPUT)
     except (RuntimeError_, OSError) as exc:
         raise CliError(f"device error: {exc}", EXIT_DEVICE)
     finally:
@@ -222,7 +225,7 @@ def cmd_vqe(args) -> int:
         if server is not None:
             server.shutdown()
     if args.json:
-        print(json.dumps(report.to_dict()))
+        print(json.dumps(dataclasses.asdict(report)))
     else:
         print(f"best_energy {report.best_energy!r}")
         print(f"iterations {report.iterations}")

@@ -11,22 +11,8 @@ from decimal import Decimal
 
 from .circuit import Circuit, GateKind, PARAMETRIC_KINDS
 
-_QIR_NAMES = {
-    GateKind.H: "h",
-    GateKind.X: "x",
-    GateKind.Y: "y",
-    GateKind.Z: "z",
-    GateKind.S: "s",
-    GateKind.SDG: "sdg",
-    GateKind.T: "t",
-    GateKind.TDG: "tdg",
-    GateKind.RX: "rx",
-    GateKind.RY: "ry",
-    GateKind.RZ: "rz",
-    GateKind.CX: "cnot",
-    GateKind.CZ: "cz",
-    GateKind.SWAP: "swap",
-}
+# Each kind's QIR operation is its QASM mnemonic, but for CX.
+_QIR_NAMES = {**{kind: kind.value for kind in GateKind}, GateKind.CX: "cnot"}
 
 
 def _double(value: float) -> str:

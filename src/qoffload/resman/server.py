@@ -187,8 +187,8 @@ class ResourceManagerServer:
             return protocol.error("BAD_REQUEST", f"job missing fields {missing}")
         if not _is_int(entry["shots"]) or entry["shots"] < 1:
             return protocol.error("BAD_REQUEST", "shots must be a positive integer")
-        if not _is_int(entry["seed"]) or entry["seed"] < 0:
-            return protocol.error("BAD_REQUEST", "seed must be a non-negative integer")
+        if not _is_int(entry["seed"]):
+            return protocol.error("BAD_REQUEST", "seed must be an integer")
         if not isinstance(entry["qasm"], str):
             return protocol.error("BAD_REQUEST", "qasm must be a string")
         try:
@@ -199,6 +199,8 @@ class ResourceManagerServer:
             return self._worker.submit(circuit, entry["shots"], entry["seed"])
         except CapacityExceededError as exc:
             return protocol.error("CAPACITY", str(exc))
+        except ValueError as exc:  # a seed out of range
+            return protocol.error("BAD_REQUEST", str(exc))
 
     @staticmethod
     def _answer(handle: JobHandle) -> dict:

@@ -98,16 +98,14 @@ class JobHandle:
     """Token for one asynchronous submission; shareable across threads.
 
     Settled once: `result` holds the `JobResult` of a job that ran, or
-    `error` the exception that failed it, never both, and `finished_at` is
-    the `time.monotonic()` of the settling. Read them only after `wait`
-    returned True."""
+    `error` the exception that failed it, never both. Read them only after
+    `wait` returned True."""
 
     def __init__(self, job_id: int, device_name: str):
         self.job_id = job_id
         self.device_name = device_name
         self.result: JobResult | None = None
         self.error: Exception | None = None
-        self.finished_at: float | None = None
         self._settled = threading.Event()
 
     def wait(self, timeout: float | None = None) -> bool:
@@ -119,7 +117,6 @@ class JobHandle:
             self.error = outcome
         else:
             self.result = outcome
-        self.finished_at = time.monotonic()
         self._settled.set()
 
 
@@ -255,13 +252,17 @@ class DeviceWorker:
         self.thread.start()
 
     def submit(self, circuit: Circuit, shots: int, seed: int) -> JobHandle:
-        """Check a job against the device's capacity, build it and queue it;
-        once `stop` was called, its handle comes back failed instead, since
-        no thread would ever run the job and the handle would wait forever."""
+        """Check a job against the device's capacity and its seed against
+        0 to 2**64 - 1, one rule for host and wire submits, build it and
+        queue it; once `stop` was called, its handle comes back failed
+        instead, since no thread would ever run the job and the handle
+        would wait forever."""
         if circuit.num_qubits > self.device.capacity:
             raise CapacityExceededError(
                 f"circuit needs {circuit.num_qubits} qubits, device "
                 f"{self.device.name!r} has capacity {self.device.capacity}")
+        if not 0 <= seed < 1 << 64:
+            raise ValueError("seed must be an integer from 0 to 2**64 - 1")
         job = Job(circuit, shots, seed, submitted_at=time.monotonic())
         handle = JobHandle(next(_job_ids), self.device.name)
         with self._lock:

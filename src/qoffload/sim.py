@@ -10,13 +10,14 @@ is its array form). The view layout of a gate depends only on its targets
 and the register size, so it is computed once per pair and cached.
 
 `run_statevector` skips that kernel where a circuit's structure makes the
-work cheap, and its state stays bit-identical to gate-by-gate `apply_gate`:
+work cheap, and its state stays equal to gate-by-gate `apply_gate`'s, bit
+for bit but for the sign of a zero amplitude:
 - The leading one-qubit gates act on |0...0>, so they make a product state.
-  Each qubit's gates fold into one amplitude pair, written into the state in
-  at most two passes. Floating-point products are not associative, and
-  numpy may fuse a complex multiply-add, so the fold takes only gates with
-  real rows, in the order `apply_gate` would multiply them: the first qubit
-  may take several gates, then each further qubit one, in ascending order.
+  One gate per qubit is taken, on qubits in ascending order. That qubit is
+  still |0> when its gate comes, so the gate leaves its first column (a, b),
+  read from `gate_rows`, and the state is written at once. These are the
+  products `apply_gate` makes on the same block; the other half of the
+  qubit is all zeros, so `apply_gate` would only add exact zeros to them.
 - A run of two or more gates whose rows permute the basis (X, CX, SWAP) is
   one gather. Its index is built by applying the run with `apply_gate` to
   the indices themselves, and is kept for small registers only.
@@ -152,35 +153,25 @@ def _write_product_prefix(state: np.ndarray, gates: list[Gate]) -> int:
     """Write the product state of the leading gates into |0...0> in place,
     and return how many gates that took.
 
-    Each qubit's gates fold into one amplitude pair (a, b). The state is
-    then built qubit by qubit, ascending: with h = 2^q, the upper half
-    `state[h:2h]` is `state[:h] * b` and the lower half is scaled by a. The
-    fold takes one-qubit gates with real rows that act on the first qubit
-    before any other, or on a new qubit above every earlier one; past the
-    first gate that does not, it would round differently from `apply_gate`.
+    A gate is taken while it is a one-qubit gate, of any kind, on a qubit
+    above every qubit taken so far. That qubit is still |0>, so the gate
+    leaves its rows' first column (a, b): with h = 2^q, the upper half
+    `state[h:2h]` becomes `state[:h] * b` and the lower half is scaled by
+    a. No product of gate entries is computed in Python.
     """
-    pairs: dict[int, tuple[complex, complex]] = {}
     top = -1
     for taken, gate in enumerate(gates):
         q = gate.targets[0]
-        if len(gate.targets) > 1 or q < top or q == top and len(pairs) > 1:
-            break
+        if len(gate.targets) > 1 or q <= top:
+            return taken
         rows = gate_rows(gate.kind, gate.param)
-        if any(x.imag for row in rows for x in row):
-            break
-        a, b = pairs.get(q, (1, 0))
-        pairs[q] = (rows[0][0] * a + rows[0][1] * b,
-                    rows[1][0] * a + rows[1][1] * b)
-        top = q
-    else:
-        taken = len(gates)
-    for q, (a, b) in pairs.items():  # ascending: each qubit exceeds the last
-        h = 1 << q
+        a, b, h = rows[0][0], rows[1][0], 1 << q
         if b:
             np.multiply(state[:h], b, out=state[h:2 * h])
         if a != 1:
             state[:h] *= a
-    return taken
+        top = q
+    return len(gates)
 
 
 @functools.lru_cache(maxsize=16)

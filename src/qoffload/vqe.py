@@ -402,27 +402,6 @@ class VqeReport:
     total_wall_time: float
     iteration_round_trips: list[float]
 
-    def to_dict(self) -> dict:
-        return {
-            "best_energy": self.best_energy,
-            "best_theta": list(self.best_theta),
-            "iterations": self.iterations,
-            "energy_trace": list(self.energy_trace),
-            "total_wall_time": self.total_wall_time,
-            "iteration_round_trips": list(self.iteration_round_trips),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VqeReport":
-        return cls(
-            best_energy=float(d["best_energy"]),
-            best_theta=[float(x) for x in d["best_theta"]],
-            iterations=int(d["iterations"]),
-            energy_trace=[float(x) for x in d["energy_trace"]],
-            total_wall_time=float(d["total_wall_time"]),
-            iteration_round_trips=[float(x) for x in d["iteration_round_trips"]],
-        )
-
 
 # Nelder-Mead coefficients: reflection, expansion, contraction, shrink.
 NM_ALPHA, NM_GAMMA, NM_RHO, NM_SIGMA = 1.0, 2.0, 0.5, 0.5

@@ -78,6 +78,14 @@ class TestApplyGate:
         with pytest.raises(GateParameterError):
             Gate(GateKind.RZ, (0,), float("nan"))
 
+    @pytest.mark.parametrize("kind, targets, match", [
+        (GateKind.CX, (0,), r"cx takes 2 target\(s\), got 1"),
+        (GateKind.H, (-1,), r"negative qubit index in \(-1,\)"),
+    ], ids=["arity", "negative-index"])
+    def test_bad_targets(self, kind, targets, match):
+        with pytest.raises(IndexOutOfRangeError, match=match):
+            Gate(kind, targets)
+
 
 class TestMeasure:
     def test_finalize(self):
@@ -152,7 +160,9 @@ class TestHistogram:
         ((True, False), 1, "must be integers"),
         ((1, 1), 2.0, "shots"),
         ((1, 0), True, "shots"),
-    ], ids=["float-counts", "bool-counts", "float-shots", "bool-shots"])
+        ((1, 2, 3), 6, "counts length must be a power of two >= 2, got 3"),
+    ], ids=["float-counts", "bool-counts", "float-shots", "bool-shots",
+            "three-counts"])
     def test_dense_rejects_non_int(self, counts, shots, match):
         with pytest.raises(ValueError, match=match):
             Histogram(counts, shots)

@@ -82,6 +82,14 @@ class TestBell:
         assert main(argv) == 3
         assert capsys.readouterr().err == "error: --seed must be >= 0\n"
 
+    @pytest.mark.parametrize("device", [[], ["--latency-ms", "0"]],
+                             ids=["sim", "qpu"])
+    def test_seed_of_2_to_the_64_exit_3(self, capsys, device):
+        argv = ["bell", "--shots", "10", "--seed", str(2 ** 64), *device]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: seed must be an integer from 0 to 2**64 - 1\n")
+
     def test_seed_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("QOFFLOAD_SEED", "13")
         main(["bell", "--shots", "500"])
@@ -168,7 +176,7 @@ class TestVqe:
         rc = main(["vqe", h2min_file, "--shots", "0", "--layers", "1",
                    "--max-iters", "50", "--json"])
         assert rc == 0
-        report = VqeReport.from_dict(json.loads(capsys.readouterr().out))
+        report = VqeReport(**json.loads(capsys.readouterr().out))
         assert report.iterations <= 50
 
     def test_bad_hamiltonian_exit_3(self, tmp_path, capsys):

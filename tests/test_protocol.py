@@ -1,5 +1,6 @@
 import json
 import random
+import socket
 import string
 import struct
 
@@ -63,6 +64,17 @@ class TestFraming:
         frame = protocol.encode_frame(protocol.ping())
         with pytest.raises(protocol.TruncatedFrameError):
             protocol.decode_frame(frame[:-3])
+
+    @pytest.mark.parametrize("sent", [2, 4, 9], ids=[
+        "mid-header", "after-header", "mid-body"])
+    def test_stream_closed_mid_frame(self, sent):
+        frame = protocol.encode_frame(protocol.ping())
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            theirs.sendall(frame[:sent])
+            theirs.close()
+            with pytest.raises(protocol.TruncatedFrameError):
+                protocol.recv_message(ours)
 
     def test_oversized_declared_length(self):
         with pytest.raises(protocol.OversizedFrameError):

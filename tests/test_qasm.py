@@ -17,6 +17,8 @@ from qoffload.qasm import (
 from oracles import random_circuit
 
 GOLDEN_BELL = (Path(__file__).parent / "golden" / "bell.qasm").read_text()
+# Everything after the version line that a two-qubit program declares.
+HEADER = 'include "qelib1.inc";\nqreg q[2];\ncreg c[2];\n'
 
 
 class TestEmit:
@@ -132,6 +134,26 @@ class TestParse:
         with pytest.raises(QasmError) as exc:
             parse_qasm('OPENQASM 2.0;\ninclude "qelib1.inc";\n' + body)
         assert exc.value.line >= 1 and exc.value.col >= 1
+
+    @pytest.mark.parametrize("body, cls, message, line, col", [
+        ('include "other.inc";\n', UnsupportedConstructError,
+         "unsupported include 'other.inc'", 2, 10),
+        ('include "qelib1.inc";\nbarrier q;\n', UnsupportedConstructError,
+         "unsupported construct 'barrier'", 3, 1),
+        ('include "qelib1.inc";\nqreg 1q[2];\n', QasmSyntaxError,
+         "invalid register name '1q'", 3, 6),
+        (f"{HEADER}h r[0];\nmeasure q -> c;\n", QasmSyntaxError,
+         "unknown register 'r'", 5, 3),
+        (f"{HEADER}rz(pi/0) q[0];\nmeasure q -> c;\n", QasmSyntaxError,
+         "division by zero", 5, 4),
+        (f"{HEADER}measure q -> d;\n", QasmSyntaxError,
+         "unknown register 'd'", 5, 14),
+    ], ids=["include", "keyword-in-header", "register-name",
+            "gate-register", "division-by-zero", "measure-register"])
+    def test_rejected_at_line_and_column(self, body, cls, message, line, col):
+        with pytest.raises(cls, match=message) as exc:
+            parse_qasm("OPENQASM 2.0;\n" + body)
+        assert (exc.value.line, exc.value.col) == (line, col)
 
 
 PI_PROGRAM = ('OPENQASM 2.0;\ninclude "qelib1.inc";\n'

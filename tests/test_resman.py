@@ -70,6 +70,18 @@ class TestServer:
         with ResmanClient(server.address) as client:
             client.ping()
 
+    @pytest.mark.parametrize("reply, code", [
+        (protocol.error("UNSUPPORTED", "no pings"), "UNSUPPORTED"),
+        (protocol.ping(), "UNEXPECTED"),
+    ], ids=["error", "ping"])
+    def test_ping_answered_by_another_frame(self, server, monkeypatch, reply,
+                                            code):
+        monkeypatch.setattr(server, "_handle", lambda msg: reply)
+        with ResmanClient(server.address) as client:
+            with pytest.raises(ServerError, match="expected Pong") as exc:
+                client.ping()
+        assert exc.value.code == code
+
     @pytest.mark.parametrize("value", [-1, math.nan, math.inf, 3600.001,
                                        1e10])
     def test_latency_must_be_from_0_to_an_hour(self, value):
@@ -385,13 +397,15 @@ class TestServer:
          "BAD_REQUEST"),
         ({"qasm": emit_qasm(bell_circuit()), "shots": 10, "seed": -1},
          "BAD_REQUEST"),
+        ({"qasm": emit_qasm(bell_circuit()), "shots": 10, "seed": 2 ** 64},
+         "BAD_REQUEST"),
         ({"qasm": "OPENQASM 2.0;\nqreg q[2;\n", "shots": 10, "seed": 0},
          "PARSE"),
         ({"qasm": emit_qasm(random_circuit(random.Random(1), 3, 4)),
           "shots": 10, "seed": 0}, "CAPACITY"),
     ], ids=["missing-qasm", "missing-shots", "missing-seed", "bool-shots",
             "bool-seed", "int-qasm", "null-qasm", "zero-shots",
-            "negative-seed", "parse", "capacity"])
+            "negative-seed", "seed-2**64", "parse", "capacity"])
     def test_bad_batch_entry_fails_only_its_job(self, entry, code):
         rng = random.Random(707)
         siblings = [(random_circuit(rng, 2, 8), 100 + i, rng.randrange(2 ** 32))

@@ -6,6 +6,7 @@ import pytest
 
 from qoffload import sim
 from qoffload.circuit import bell_circuit, create_circuit
+from qoffload.resman import serve
 from qoffload.runtime import (
     CapacityExceededError,
     Device,
@@ -67,6 +68,10 @@ class TestSubmitSync:
         with pytest.raises(ValueError):
             registry.submit_sync("sim0", create_circuit(1).h(0), 10, 0)
 
+    def test_zero_shots_rejected(self, registry):
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            registry.submit_sync("sim0", bell_circuit(), 0, 0)
+
 
 class TestSubmitAsync:
     def test_handle_status_lifecycle(self, registry):
@@ -74,7 +79,6 @@ class TestSubmitAsync:
         result = registry.wait(handle)
         assert handle.wait(0)
         assert handle.result is result and handle.error is None
-        assert handle.finished_at >= result.finished_at
 
     def test_wait_timeout_on_unfinished_job(self):
         backend = _GatedBackend()
@@ -113,6 +117,31 @@ class TestSubmitAsync:
     def test_submission_errors_are_synchronous(self, registry):
         with pytest.raises(UnknownDeviceError):
             registry.submit_async("nope", bell_circuit(), 10, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 10 ** 5000],
+                             ids=["negative", "2**64", "5001-digits"])
+    @pytest.mark.parametrize("remote", [False, True], ids=["local", "remote"])
+    def test_seed_out_of_range_refuses_only_its_job(self, registry, remote,
+                                                    seed):
+        # A seed the wire cannot carry once failed every job of its batch.
+        server = serve() if remote else None
+        name = "sim0"
+        if remote:
+            name = "qpu0"
+            registry.register(Device(name, DeviceKind.REMOTE,
+                                     endpoint=server.address))
+        try:
+            first = registry.submit_async(name, bell_circuit(), 10, 1)
+            with pytest.raises(ValueError, match=r"from 0 to 2\*\*64 - 1"):
+                registry.submit_async(name, bell_circuit(), 10, seed)
+            last = registry.submit_async(name, bell_circuit(), 10, 2)
+            for handle, own_seed in [(first, 1), (last, 2)]:
+                assert (registry.wait(handle, timeout=30).histogram
+                        == sim.run_and_sample(bell_circuit(), 10, own_seed))
+        finally:
+            registry.shutdown()
+            if server is not None:
+                server.shutdown()
 
     def test_three_concurrent_jobs(self, registry):
         handles = [registry.submit_async("sim0", bell_circuit(), 100 * (i + 1), i)

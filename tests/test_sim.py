@@ -94,9 +94,11 @@ def _draw_gate(draw, n, kinds, qubit=None):
 @st.composite
 def structured_circuits(draw):
     """A leading run of one-qubit gates, then permutation runs of 0-6 gates
-    between gates of every kind. The leading run leans on kinds with real
-    rows, on ascending qubits with repeats, which the product-state prefix
-    folds; random kinds and qubits end the fold early."""
+    between gates of every kind. Each gate of the leading run takes its
+    kind from every one-qubit kind or from those with real rows, on
+    ascending qubits with repeats or on random qubits. The product-state
+    prefix folds the first gate on each fresh qubit; a repeat or a lower
+    qubit ends the fold."""
     n = draw(st.integers(1, 13))
     circuit = create_circuit(n)
     ascending = draw(st.booleans())
@@ -116,14 +118,26 @@ def structured_circuits(draw):
 
 class TestStructuredPaths:
     """`run_statevector` folds the leading one-qubit gates into a product
-    state and gathers each run of X, CX and SWAP in one step; its state is
-    bit-identical to `apply_gate` applied gate by gate."""
+    state and gathers each run of X, CX and SWAP in one step; its state
+    equals `apply_gate` applied gate by gate, bit for bit but for the sign
+    of a zero, which `np.array_equal` does not read."""
 
     @given(structured_circuits())
     @settings(max_examples=300, deadline=None)
     def test_matches_gate_by_gate(self, circuit):
         assert np.array_equal(run_statevector(circuit),
                               _gate_by_gate(circuit))
+
+    def _applied(self, monkeypatch, circuit):
+        """The gates `run_statevector` sends through `apply_gate`, once its
+        state was checked against gate by gate."""
+        expected = _gate_by_gate(circuit)
+        applied = []
+        kernel = sim.apply_gate
+        monkeypatch.setattr(sim, "apply_gate", lambda state, gate, n:
+                            applied.append(gate) or kernel(state, gate, n))
+        assert np.array_equal(run_statevector(circuit), expected)
+        return applied
 
     def test_ansatz_body_sends_one_layer_through_apply_gate(self,
                                                             monkeypatch):
@@ -137,14 +151,31 @@ class TestStructuredPaths:
                 circuit.ry(q, rng.uniform(-3, 3))
             for q in range(n):
                 circuit.cx(q, (q + 1) % n)
-        expected = _gate_by_gate(circuit)
         run_statevector(circuit)  # keeps the ring's index
-        applied = []
-        kernel = sim.apply_gate
-        monkeypatch.setattr(sim, "apply_gate", lambda state, gate, n:
-                            applied.append(gate) or kernel(state, gate, n))
-        assert np.array_equal(run_statevector(circuit), expected)
-        assert applied == circuit.gates[20:30]
+        assert self._applied(monkeypatch, circuit) == circuit.gates[20:30]
+
+    def test_first_gate_of_every_one_qubit_kind_is_folded(self, monkeypatch):
+        # One gate per qubit, each kind in turn, then a gate that ends the
+        # prefix: only that gate reaches `apply_gate`.
+        rng = random.Random(47)
+        n = len(ONE_QUBIT_KINDS)
+        circuit = create_circuit(n)
+        for q, kind in enumerate(ONE_QUBIT_KINDS):
+            param = rng.uniform(-3, 3) if kind in PARAMETRIC_KINDS else None
+            circuit.apply(Gate(kind, (q,), param))
+        circuit.cx(0, 1)
+        assert self._applied(monkeypatch, circuit) == circuit.gates[n:]
+
+    @pytest.mark.parametrize("build, folded", [
+        (lambda c: c.h(0).x(0).h(1), 1),
+        (lambda c: c.h(0).ry(1, 0.5).rz(1, 0.25).h(2), 2),
+        (lambda c: c.h(1).h(0).h(2), 1),
+    ], ids=["first-qubit-twice", "later-qubit-twice", "lower-qubit"])
+    def test_gate_on_a_taken_or_lower_qubit_ends_the_fold(self, monkeypatch,
+                                                           build, folded):
+        circuit = build(create_circuit(3))
+        assert (self._applied(monkeypatch, circuit)
+                == circuit.gates[folded:])
 
 
 class TestPermutationCache:

@@ -71,6 +71,20 @@ class TestHamiltonian:
         with pytest.raises(VqeError):
             Hamiltonian.parse("# only comments\n")
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PauliTerm(math.inf, "Z"), "coefficient must be finite"),
+        (lambda: Hamiltonian.from_terms([]),
+         "Hamiltonian needs at least one term"),
+        (lambda: Hamiltonian.parse("1.0 Z Z\n"),
+         "line 1: expected 'coefficient operators'"),
+        (lambda: Hamiltonian.parse("# c\nhalf Z\n"),
+         "line 2: bad coefficient 'half'"),
+    ], ids=["infinite-coefficient", "no-terms", "three-fields",
+            "bad-coefficient"])
+    def test_bad_input_rejected(self, build, message):
+        with pytest.raises(VqeError, match=f"^{message}$"):
+            build()
+
     def test_identity_is_kept_outside_the_fields(self):
         a, b = PauliTerm(0.5, "III"), PauliTerm(0.5, "III")
         assert a.is_identity and a.is_identity  # computed, then cached
@@ -124,6 +138,10 @@ class TestAnsatz:
     def test_length_mismatch(self):
         with pytest.raises(VqeError):
             build_ansatz_body(AnsatzSpec(2, 2), [0.0])
+
+    def test_zero_layers_rejected(self):
+        with pytest.raises(VqeError, match="^layers must be >= 1$"):
+            AnsatzSpec(2, 0)
 
     @pytest.mark.parametrize("num_qubits", [0, 25, 30])
     def test_register_out_of_bound_is_an_input_fault(self, num_qubits):
@@ -621,6 +639,10 @@ class TestEstimateExpectation:
             estimate_expectation(H2MIN, AnsatzSpec(2, 1), [0.0, 0.0],
                                  shots=0, registry=registry, device_name="qpu0")
 
+    def test_qubit_count_mismatch_rejected(self):
+        with pytest.raises(VqeError, match="qubit counts differ"):
+            estimate_expectation(H2MIN, AnsatzSpec(3, 1), [0.0] * 3, shots=0)
+
     def test_sampled_mode_requires_device(self):
         with pytest.raises(VqeError, match="device"):
             estimate_expectation(H2MIN, AnsatzSpec(2, 1), [0.0, 0.0], shots=10)
@@ -689,7 +711,7 @@ class TestOptimize:
         report = optimize(Hamiltonian.from_terms([(1.0, "Z")]),
                           AnsatzSpec(1, 1), config)
         assert len(report.iteration_round_trips) == report.iterations
-        assert VqeReport.from_dict(report.to_dict()) == report
+        assert VqeReport(**dataclasses.asdict(report)) == report
 
     def test_device_failure_keeps_partial_trace(self, registry):
         from qoffload.runtime import Device, DeviceKind
