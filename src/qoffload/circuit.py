@@ -172,9 +172,9 @@ class Circuit:
         self.measured = True
         return self
 
-    def copy(self, *, unmeasured: bool = False) -> "Circuit":
-        return Circuit(self.num_qubits, list(self.gates),
-                       False if unmeasured else self.measured)
+    def copy(self) -> "Circuit":
+        """An unmeasured circuit with the same register and gates."""
+        return Circuit(self.num_qubits, list(self.gates))
 
 
 def create_circuit(num_qubits: int) -> Circuit:

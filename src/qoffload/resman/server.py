@@ -1,7 +1,8 @@
 """Quantum resource-manager service.
 
 Accepts framed JSON requests, parses submitted QASM and queues jobs FIFO onto
-one runtime device worker (one simulated device). A `SubmitJob` carries its
+one runtime device worker (one simulated device), whose `submit` checks each
+job by the host's rules. A `SubmitJob` carries its
 jobs in `jobs`. All of them are queued at once, the `target nowait` of the
 paper's offload model, and the request is answered with one `Result` or
 `Error` frame per job, in order, each sent once its job has finished, the
@@ -29,11 +30,6 @@ from . import protocol
 _JOB_FIELDS = ("qasm", "shots", "seed")
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; `true`/`false` decode to bool, a subclass of int."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 class _PassThenSimulate(LocalSimulatorBackend):
     """The server's device backend: optimization pass, then simulation."""
 
@@ -56,8 +52,6 @@ class ResourceManagerServer:
         # below what `time.sleep` takes without raising.
         if not 0 <= latency <= 3600:
             raise ValueError("latency must be from 0 to 3600 seconds")
-        if capacity > DEFAULT_MAX_QUBITS:  # no larger register parses
-            raise ValueError(f"capacity must be <= {DEFAULT_MAX_QUBITS}")
         device = Device("resman", DeviceKind.LOCAL_SIMULATOR, capacity)
         self.latency = latency
 
@@ -181,14 +175,11 @@ class ResourceManagerServer:
 
     def _queue(self, entry: dict) -> JobHandle | dict:
         """Check one job's fields, parse its QASM and queue it: the job's
-        handle, or the `Error` reply that rejects it."""
+        handle, or the `Error` reply that rejects it; the device's `submit`
+        checks capacity, then shots and seed."""
         missing = [name for name in _JOB_FIELDS if name not in entry]
         if missing:
             return protocol.error("BAD_REQUEST", f"job missing fields {missing}")
-        if not _is_int(entry["shots"]) or entry["shots"] < 1:
-            return protocol.error("BAD_REQUEST", "shots must be a positive integer")
-        if not _is_int(entry["seed"]):
-            return protocol.error("BAD_REQUEST", "seed must be an integer")
         if not isinstance(entry["qasm"], str):
             return protocol.error("BAD_REQUEST", "qasm must be a string")
         try:
@@ -199,7 +190,7 @@ class ResourceManagerServer:
             return self._worker.submit(circuit, entry["shots"], entry["seed"])
         except CapacityExceededError as exc:
             return protocol.error("CAPACITY", str(exc))
-        except ValueError as exc:  # a seed out of range
+        except ValueError as exc:  # shots or seed the job rules refuse
             return protocol.error("BAD_REQUEST", str(exc))
 
     @staticmethod

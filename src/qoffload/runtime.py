@@ -7,7 +7,9 @@ handle (the `nowait` analogue) that any thread may wait on, so
 `submit_async` calls followed by a wait on each handle are `target nowait`
 regions followed by a `taskwait`. A handle is settled once, with the job's
 result or the exception that failed it. `DeviceWorker.submit` alone admits
-jobs, the registry's and the resource-manager server's alike.
+jobs, the registry's and the resource-manager server's alike, and each job
+rule is kept once (capacity in `Device` and `submit`, values in `Job`), so
+local and remote devices refuse the same jobs before anything is sent.
 
 When a worker wakes, it takes every job already queued as one batch and
 hands it to its backend's `run_batch`, which runs the jobs one by one with
@@ -59,20 +61,23 @@ class DeviceKind(Enum):
 
 @dataclass(frozen=True)
 class Device:
+    """`capacity`, the largest register, is from 1 to `DEFAULT_MAX_QUBITS`."""
     name: str
     kind: DeviceKind
     capacity: int = DEFAULT_MAX_QUBITS
     endpoint: tuple[str, int] | None = None
 
     def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        if not 1 <= self.capacity <= DEFAULT_MAX_QUBITS:
+            raise ValueError(f"capacity must be from 1 to {DEFAULT_MAX_QUBITS}")
         if self.kind is DeviceKind.REMOTE and self.endpoint is None:
             raise ValueError("remote device requires an endpoint")
 
 
 @dataclass(frozen=True)
 class Job:
+    """A measured circuit, shots >= 1 and a seed from 0 to 2**64 - 1, both
+    Python `int`s: not a `bool`, nor a numpy integer, which JSON cannot carry."""
     circuit: Circuit
     shots: int
     seed: int
@@ -81,8 +86,10 @@ class Job:
     def __post_init__(self):
         if not self.circuit.measured:
             raise ValueError("job circuit must be finalized (measured)")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+        if type(self.shots) is not int or self.shots < 1:
+            raise ValueError("shots must be an integer >= 1")
+        if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must be an integer from 0 to 2**64 - 1")
 
 
 @dataclass(frozen=True)
@@ -252,17 +259,15 @@ class DeviceWorker:
         self.thread.start()
 
     def submit(self, circuit: Circuit, shots: int, seed: int) -> JobHandle:
-        """Check a job against the device's capacity and its seed against
-        0 to 2**64 - 1, one rule for host and wire submits, build it and
-        queue it; once `stop` was called, its handle comes back failed
-        instead, since no thread would ever run the job and the handle
-        would wait forever."""
+        """Check a job's circuit against the device's capacity, then build
+        the `Job`, which checks its values (`ValueError`), and queue it: one
+        rule for host and wire submits. Once `stop` was called, its handle
+        comes back failed instead, since no thread would ever run the job
+        and the handle would wait forever."""
         if circuit.num_qubits > self.device.capacity:
             raise CapacityExceededError(
                 f"circuit needs {circuit.num_qubits} qubits, device "
                 f"{self.device.name!r} has capacity {self.device.capacity}")
-        if not 0 <= seed < 1 << 64:
-            raise ValueError("seed must be an integer from 0 to 2**64 - 1")
         job = Job(circuit, shots, seed, submitted_at=time.monotonic())
         handle = JobHandle(next(_job_ids), self.device.name)
         with self._lock:

@@ -210,7 +210,7 @@ def basis_change(body: Circuit, operators: str) -> Circuit:
             f"operator string of length {len(operators)} for "
             f"{body.num_qubits}-qubit circuit"
         )
-    circuit = body.copy(unmeasured=True)
+    circuit = body.copy()
     n = body.num_qubits
     for q in range(n):
         op = operators[n - 1 - q]

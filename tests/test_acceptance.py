@@ -1,5 +1,4 @@
 """Acceptance suite: one test per release criterion, one printed line each."""
-import math
 import random
 import struct
 import time

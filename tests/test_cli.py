@@ -1,10 +1,8 @@
 import json
-import os
 import signal
 import socket
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -66,8 +64,8 @@ class TestBell:
     @pytest.mark.parametrize("shots", ["0", "-3"])
     def test_shots_below_one_exit_3(self, capsys, shots):
         assert main(["bell", "--shots", shots]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: --shots") and "Traceback" not in err
+        assert capsys.readouterr().err == (
+            "error: shots must be an integer >= 1\n")
 
     @pytest.mark.parametrize("device", [[], ["--latency-ms", "0"]],
                              ids=["sim", "qpu"])
@@ -80,7 +78,8 @@ class TestBell:
         else:
             argv += ["--seed", "-1"]
         assert main(argv) == 3
-        assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+        assert capsys.readouterr().err == (
+            "error: seed must be an integer from 0 to 2**64 - 1\n")
 
     @pytest.mark.parametrize("device", [[], ["--latency-ms", "0"]],
                              ids=["sim", "qpu"])
@@ -349,8 +348,8 @@ class TestServe:
             sock.close()
 
     @pytest.mark.parametrize("flags, message", [
-        (["--capacity", "0"], "capacity must be >= 1"),
-        (["--capacity", "25"], "capacity must be <= 24"),
+        (["--capacity", "0"], "capacity must be from 1 to 24"),
+        (["--capacity", "25"], "capacity must be from 1 to 24"),
         (["--latency-ms", "-5"], "latency must be from 0 to 3600 seconds"),
         (["--latency-ms", "nan"], "latency must be from 0 to 3600 seconds"),
         (["--latency-ms", "inf"], "latency must be from 0 to 3600 seconds"),

@@ -96,7 +96,7 @@ class TestServer:
     def test_capacity_must_fit_a_parsed_register(self, capacity):
         # A job of more than 24 qubits fails to parse, so no job could use
         # such a capacity.
-        with pytest.raises(ValueError, match="capacity must be <= 24"):
+        with pytest.raises(ValueError, match="^capacity must be from 1 to 24$"):
             serve(capacity=capacity)
 
     def test_submit_and_fetch_matches_local(self, server):
@@ -395,17 +395,27 @@ class TestServer:
         ({"qasm": None, "shots": 10, "seed": 0}, "BAD_REQUEST"),
         ({"qasm": emit_qasm(bell_circuit()), "shots": 0, "seed": 0},
          "BAD_REQUEST"),
+        ({"qasm": emit_qasm(bell_circuit()), "shots": 10.0, "seed": 0},
+         "BAD_REQUEST"),
+        ({"qasm": emit_qasm(bell_circuit()), "shots": 10, "seed": "5"},
+         "BAD_REQUEST"),
+        ({"qasm": emit_qasm(bell_circuit()), "shots": 10, "seed": None},
+         "BAD_REQUEST"),
         ({"qasm": emit_qasm(bell_circuit()), "shots": 10, "seed": -1},
          "BAD_REQUEST"),
         ({"qasm": emit_qasm(bell_circuit()), "shots": 10, "seed": 2 ** 64},
          "BAD_REQUEST"),
         ({"qasm": "OPENQASM 2.0;\nqreg q[2;\n", "shots": 10, "seed": 0},
          "PARSE"),
+        # The QASM is parsed before the device checks the shots.
+        ({"qasm": "OPENQASM 2.0;\nqreg q[2;\n", "shots": 0, "seed": 0},
+         "PARSE"),
         ({"qasm": emit_qasm(random_circuit(random.Random(1), 3, 4)),
           "shots": 10, "seed": 0}, "CAPACITY"),
     ], ids=["missing-qasm", "missing-shots", "missing-seed", "bool-shots",
             "bool-seed", "int-qasm", "null-qasm", "zero-shots",
-            "negative-seed", "seed-2**64", "parse", "capacity"])
+            "float-shots", "str-seed", "null-seed", "negative-seed",
+            "seed-2**64", "parse", "zero-shots-parse", "capacity"])
     def test_bad_batch_entry_fails_only_its_job(self, entry, code):
         rng = random.Random(707)
         siblings = [(random_circuit(rng, 2, 8), 100 + i, rng.randrange(2 ** 32))

@@ -2,6 +2,7 @@ import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from qoffload import sim
@@ -19,6 +20,10 @@ from qoffload.runtime import (
 )
 
 from oracles import random_circuit
+from servers import counting_server
+
+_SHOTS_RULE = "^shots must be an integer >= 1$"
+_SEED_RULE = r"^seed must be an integer from 0 to 2\*\*64 - 1$"
 
 
 class TestRegistry:
@@ -43,6 +48,11 @@ class TestRegistry:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             Device("bad", DeviceKind.LOCAL_SIMULATOR, capacity=0)
+
+    def test_capacity_must_fit_the_largest_register(self):
+        # No register above 24 qubits can be built or parsed.
+        with pytest.raises(ValueError, match="^capacity must be from 1 to 24$"):
+            Device("bad", DeviceKind.LOCAL_SIMULATOR, capacity=25)
 
 
 class TestSubmitSync:
@@ -69,7 +79,7 @@ class TestSubmitSync:
             registry.submit_sync("sim0", create_circuit(1).h(0), 10, 0)
 
     def test_zero_shots_rejected(self, registry):
-        with pytest.raises(ValueError, match="shots must be >= 1"):
+        with pytest.raises(ValueError, match=_SHOTS_RULE):
             registry.submit_sync("sim0", bell_circuit(), 0, 0)
 
 
@@ -118,12 +128,15 @@ class TestSubmitAsync:
         with pytest.raises(UnknownDeviceError):
             registry.submit_async("nope", bell_circuit(), 10, 0)
 
-    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 10 ** 5000],
-                             ids=["negative", "2**64", "5001-digits"])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 10 ** 5000, np.int64(2)],
+                             ids=["negative", "2**64", "5001-digits",
+                                  "numpy-int"])
     @pytest.mark.parametrize("remote", [False, True], ids=["local", "remote"])
     def test_seed_out_of_range_refuses_only_its_job(self, registry, remote,
                                                     seed):
-        # A seed the wire cannot carry once failed every job of its batch.
+        # A seed the wire cannot carry once failed every job of its batch:
+        # a numpy integer with "Object of type int64 is not JSON
+        # serializable".
         server = serve() if remote else None
         name = "sim0"
         if remote:
@@ -142,6 +155,35 @@ class TestSubmitAsync:
             registry.shutdown()
             if server is not None:
                 server.shutdown()
+
+    @pytest.mark.parametrize("shots, seed, rule", [
+        (True, 0, _SHOTS_RULE),
+        (10.0, 0, _SHOTS_RULE),
+        (10, True, _SEED_RULE),
+        (10, 1.5, _SEED_RULE),
+        (10, "5", _SEED_RULE),
+        (10, None, _SEED_RULE),
+        (10, -1, _SEED_RULE),
+        (10, 2 ** 64, _SEED_RULE),
+        (10, np.int64(2), _SEED_RULE),
+    ], ids=["bool-shots", "float-shots", "bool-seed", "float-seed",
+            "str-seed", "null-seed", "negative-seed", "seed-2**64",
+            "numpy-seed"])
+    def test_local_and_remote_refuse_the_same_jobs(self, registry, shots,
+                                                   seed, rule):
+        # One job rule for every device: each refusal is the same
+        # `ValueError` at submit, and a remote device sends nothing.
+        server, counts = counting_server()
+        registry.register(Device("qpu0", DeviceKind.REMOTE,
+                                 endpoint=server.address))
+        try:
+            for name in ["sim0", "qpu0"]:
+                with pytest.raises(ValueError, match=rule):
+                    registry.submit_async(name, bell_circuit(), shots, seed)
+        finally:
+            registry.shutdown()
+            server.shutdown()
+        assert counts["SubmitJob"] == 0
 
     def test_three_concurrent_jobs(self, registry):
         handles = [registry.submit_async("sim0", bell_circuit(), 100 * (i + 1), i)

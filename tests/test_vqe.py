@@ -177,7 +177,7 @@ class TestBasisChange:
             h = sim.run_and_sample(circuit, 10 ** 5, rng.randrange(2 ** 32))
             signs = np.array([1, -1, -1, 1], dtype=float)  # parity of both qubits
             estimated = float(signs @ np.asarray(h.counts)) / 10 ** 5
-            sv = dense_statevector(body.copy(unmeasured=False))
+            sv = dense_statevector(body)
             exact = float(np.real(sv.conj() @ hamiltonian_matrix([(1.0, "YZ")]) @ sv))
             assert abs(estimated - exact) < 1e-2
 
