@@ -177,8 +177,13 @@ def _fold(src: str, m: re.Match) -> float:
     return -value if expr[0] == "-" else value
 
 
-def parse_qasm(text: str) -> Circuit:
-    """Parse the supported OpenQASM 2.0 subset into a finalized circuit."""
+def parse_qasm(text: str, memo: dict | None = None) -> Circuit:
+    """Parse the supported OpenQASM 2.0 subset into a finalized circuit.
+
+    `memo`, if given, maps a gate statement's text, from its first
+    character to its `;`, and the qreg's name and size to the `Gate` it
+    parsed to. A statement found there is not parsed again, and only one
+    that parsed is stored, so errors are raised as without a memo."""
     src = _STRING_OR_COMMENT.sub(lambda m: m[1] or " " * len(m[0]), text)
     m = _statement(_VERSION, src, 0, "'OPENQASM 2.0;'")
     if m[1] != "2.0":
@@ -203,6 +208,13 @@ def parse_qasm(text: str) -> Circuit:
 
     pos = m.end()
     while (start := _BLANKS.match(src, pos).end()) < len(src):
+        if memo is not None:
+            end = src.find(";", start) + 1
+            gate = memo.get((src[start:end], qreg, qreg_size))
+            if gate is not None:
+                circuit.apply(gate)
+                pos = end
+                continue
         word = _WORD.match(src, start)[0]
         if word == "measure":
             break
@@ -222,10 +234,13 @@ def parse_qasm(text: str) -> Circuit:
                         for group in (2, 4) if m[group] is not None)
         param = None if m[1] is None else _fold(src, m)
         try:
-            circuit.apply(Gate(kind, targets, param))
+            gate = Gate(kind, targets, param)
+            circuit.apply(gate)
         except CircuitError as exc:
             raise _error(QasmSyntaxError, str(exc), src, start) from None
         pos = m.end()
+        if memo is not None:  # `_GATE` ends at the statement's only `;`
+            memo[src[start:pos], qreg, qreg_size] = gate
     else:
         raise _error(QasmSyntaxError, "missing terminal measurement", src, pos)
 

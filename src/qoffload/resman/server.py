@@ -11,6 +11,12 @@ nothing of a job once its reply is sent. A `Result` holds the histogram's
 nonzero (outcome, count) pairs. A configurable one-way delay is slept
 before each request is processed, modelling the link latency of a remote
 (off-premise) device.
+
+Work that a request's jobs share is done once, unseen on the wire and
+kept for that request only: each distinct gate statement of its QASM is
+parsed once, and after the optimization pass, a gate prefix that its jobs
+share is simulated once (`LocalSimulatorBackend.run_batch`). Every
+histogram is the one its job gets alone.
 """
 from __future__ import annotations
 
@@ -18,11 +24,10 @@ import socket
 import threading
 import time
 
-from .. import sim
-from ..circuit import DEFAULT_MAX_QUBITS, Histogram
+from ..circuit import Circuit, DEFAULT_MAX_QUBITS
 from ..qasm import QasmError, parse_qasm
 from ..runtime import (CapacityExceededError, Device, DeviceKind,
-                       DeviceWorker, Job, JobHandle, LocalSimulatorBackend)
+                       DeviceWorker, JobHandle, LocalSimulatorBackend)
 from . import protocol
 
 
@@ -36,9 +41,8 @@ class _PassThenSimulate(LocalSimulatorBackend):
     def __init__(self, optimization_pass):
         self.optimization_pass = optimization_pass or (lambda circuit: circuit)
 
-    def run(self, job: Job) -> Histogram:
-        return sim.run_and_sample(self.optimization_pass(job.circuit),
-                                  job.shots, job.seed)
+    def prepare(self, circuit: Circuit) -> Circuit:
+        return self.optimization_pass(circuit)
 
 
 class ResourceManagerServer:
@@ -162,8 +166,10 @@ class ResourceManagerServer:
                 "BAD_BATCH", "jobs must be a non-empty list of objects")
             return
         # Every entry is queued before the first is answered, so the
-        # device runs them back to back while replies are sent.
-        for item in [self._queue(entry) for entry in jobs]:
+        # device runs them back to back while replies are sent. The
+        # entries' gate statements are parsed once each, into `statements`.
+        statements = {}
+        for item in [self._queue(entry, statements) for entry in jobs]:
             yield self._answer(item) if isinstance(item, JobHandle) else item
 
     def _handle(self, msg: dict) -> dict:
@@ -173,8 +179,9 @@ class ResourceManagerServer:
             return protocol.pong()
         return protocol.error("UNSUPPORTED", f"server cannot handle kind {kind!r}")
 
-    def _queue(self, entry: dict) -> JobHandle | dict:
-        """Check one job's fields, parse its QASM and queue it: the job's
+    def _queue(self, entry: dict, statements: dict) -> JobHandle | dict:
+        """Check one job's fields, parse its QASM, reusing the gates of
+        `statements` (`parse_qasm`'s `memo`), and queue it: the job's
         handle, or the `Error` reply that rejects it; the device's `submit`
         checks capacity, then shots and seed."""
         missing = [name for name in _JOB_FIELDS if name not in entry]
@@ -183,7 +190,7 @@ class ResourceManagerServer:
         if not isinstance(entry["qasm"], str):
             return protocol.error("BAD_REQUEST", "qasm must be a string")
         try:
-            circuit = parse_qasm(entry["qasm"])
+            circuit = parse_qasm(entry["qasm"], statements)
         except QasmError as exc:
             return protocol.error("PARSE", str(exc))
         try:

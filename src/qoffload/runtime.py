@@ -12,13 +12,16 @@ rule is kept once (capacity in `Device` and `submit`, values in `Job`), so
 local and remote devices refuse the same jobs before anything is sent.
 
 When a worker wakes, it takes every job already queued as one batch and
-hands it to its backend's `run_batch`, which runs the jobs one by one with
-the backend's `run` and yields each job's histogram, or the exception that
-failed it, as each finishes. A remote device's backend holds one persistent
-resource-manager connection and sends the batch as one `SubmitJob` request
-carrying every job, so a batch costs one link latency leg however many jobs
-it carries. The device's worker thread is that connection's only user; when
-the worker stops it calls its backend's `close`, which closes it.
+hands it to its backend's `run_batch`, which yields each job's histogram,
+or the exception that failed it, in order, as each finishes. The
+simulator's backend runs a gate prefix that its jobs share, such as the
+ansatz of one sampled VQE evaluation's terms, once; every histogram stays
+`sim.run_and_sample`'s, seed for seed. A remote device's backend holds
+one persistent resource-manager connection and sends the batch as one
+`SubmitJob` request carrying every job, so a batch costs one link latency
+leg however many jobs it carries. The device's worker thread is that
+connection's only user; when the worker stops it calls its backend's
+`close`, which closes it.
 """
 from __future__ import annotations
 
@@ -61,13 +64,16 @@ class DeviceKind(Enum):
 
 @dataclass(frozen=True)
 class Device:
-    """`capacity`, the largest register, is from 1 to `DEFAULT_MAX_QUBITS`."""
+    """`capacity`, the largest register, is a Python `int` from 1 to
+    `DEFAULT_MAX_QUBITS`: not a `bool`, a float or a numpy integer."""
     name: str
     kind: DeviceKind
     capacity: int = DEFAULT_MAX_QUBITS
     endpoint: tuple[str, int] | None = None
 
     def __post_init__(self):
+        if type(self.capacity) is not int:
+            raise ValueError("capacity must be an integer")
         if not 1 <= self.capacity <= DEFAULT_MAX_QUBITS:
             raise ValueError(f"capacity must be from 1 to {DEFAULT_MAX_QUBITS}")
         if self.kind is DeviceKind.REMOTE and self.endpoint is None:
@@ -131,8 +137,9 @@ class Backend:
     """Runs a device's jobs; a subclass defines `run(job) -> Histogram`."""
 
     def run_batch(self, jobs: list[Job]):
-        """Yield each job's histogram from `run`, or the exception that
-        failed it, in order; a job runs only when its outcome is asked for."""
+        """Yield each job's histogram, or the exception that failed it, in
+        order. Here each job runs by `run`, only when its outcome is asked
+        for; the simulator's backend runs a prefix its jobs share once."""
         for job in jobs:
             try:
                 yield self.run(job)
@@ -144,11 +151,87 @@ class Backend:
         once, when it stops."""
 
 
+def _outcome(fn, *args) -> Histogram | Circuit | Exception:
+    """`fn(*args)`, or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _shared_run(circuits: list, first: int) -> tuple[int, int]:
+    """The end of the run of circuits from `first` on, all of one register
+    size, that share a gate prefix, and its length; `(first + 1, 0)` when
+    circuit `first` shares no gate with the next. The run ends before the
+    first circuit, or exception, that shares no gate with those before."""
+    head, end = circuits[first], first + 1
+    if isinstance(head, Exception):
+        return end, 0
+    shared = len(head.gates)
+    for circuit in circuits[end:]:
+        if (isinstance(circuit, Exception)
+                or circuit.num_qubits != head.num_qubits):
+            break
+        k = next((i for i, a, b in zip(range(shared), head.gates,
+                                       circuit.gates) if a != b),
+                 min(shared, len(circuit.gates)))
+        if not k:
+            break
+        shared, end = k, end + 1
+    return end, shared if end > first + 1 else 0
+
+
+def _sample_suffix(prefix, start: int, circuit: Circuit,
+                   job: Job) -> Histogram:
+    """Continue a copy of `prefix`, the state after the circuit's first
+    `start` gates, through the rest, and sample it."""
+    gates = itertools.islice(circuit.gates, start, None)
+    state = sim.evolve(prefix.copy(), gates, circuit.num_qubits)
+    return sim.sample(state, job.shots, job.seed)
+
+
 class LocalSimulatorBackend(Backend):
-    """In-process statevector execution."""
+    """In-process statevector execution of each job's `prepare`d circuit."""
+
+    def prepare(self, circuit: Circuit) -> Circuit:
+        """The circuit simulated for a job's circuit: the circuit itself
+        here, the server's optimization pass on the resource manager."""
+        return circuit
 
     def run(self, job: Job) -> Histogram:
-        return sim.run_and_sample(job.circuit, job.shots, job.seed)
+        return sim.run_and_sample(self.prepare(job.circuit), job.shots,
+                                  job.seed)
+
+    def run_batch(self, jobs: list[Job]):
+        """Yield each job's histogram, or the exception that failed it, in
+        order, as each finishes; every job is `prepare`d before the first
+        runs. Consecutive jobs of one register size whose prepared circuits
+        share a gate prefix run it once, and each the rest of its gates on a
+        copy of that state, one copy at a time. A job that shares nothing,
+        as in a batch of one, runs by `sim.run_and_sample`."""
+        circuits = [_outcome(self.prepare, job.circuit) for job in jobs]
+        first = 0
+        while first < len(jobs):
+            end, shared = _shared_run(circuits, first)
+            if shared:
+                yield from self._run_shared(jobs[first:end],
+                                            circuits[first:end], shared)
+            elif isinstance(circuits[first], Exception):
+                yield circuits[first]
+            else:
+                job = jobs[first]
+                yield _outcome(sim.run_and_sample, circuits[first], job.shots,
+                               job.seed)
+            first = end
+
+    @staticmethod
+    def _run_shared(jobs: list[Job], circuits: list[Circuit], shared: int):
+        """Run the first `shared` gates, common to every circuit, once, and
+        yield each job's outcome from a copy of that state."""
+        prefix = _outcome(sim.run_statevector, circuits[0], shared)
+        for job, circuit in zip(jobs, circuits):
+            yield (prefix if isinstance(prefix, Exception)
+                   else _outcome(_sample_suffix, prefix, shared, circuit, job))
 
 
 # Seconds a remote job may take, link legs included, before it fails.

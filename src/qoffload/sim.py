@@ -22,6 +22,12 @@ for bit but for the sign of a zero amplitude:
   one gather. Its index is built by applying the run with `apply_gate` to
   the indices themselves, and is kept for small registers only.
 
+`run_statevector(circuit, stop)` evolves only the first `stop` gates, and
+`evolve`, its loop after the product prefix, continues a state from any
+gate, so jobs that share a prefix can run it once. Such a state still
+equals gate-by-gate `apply_gate`'s by the rule above, so its histograms are
+`run_and_sample`'s, seed for seed.
+
 Amplitude index k encodes the basis state with qubit i at bit i of k
 (qubit 0 least-significant), matching the histogram outcome convention.
 """
@@ -122,34 +128,41 @@ def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int) -> None:
         blocks[r][...] = value
 
 
-def run_statevector(circuit: Circuit) -> np.ndarray:
-    """Evolve |0...0> through the circuit's gates in order: the product-state
-    prefix first, then each permutation run of a register of at most
-    `_FUSE_MAX_QUBITS` as one gather, and every other gate by `apply_gate`."""
+def run_statevector(circuit: Circuit, stop: int | None = None) -> np.ndarray:
+    """Evolve |0...0> through the circuit's gates in order, or through its
+    first `stop` gates: the product-state prefix first, then the rest by
+    `evolve`."""
     n = circuit.num_qubits
     if n > DEFAULT_MAX_QUBITS:  # a hand-built `Circuit` may be larger
         raise SizeOutOfRangeError(
             f"circuit has {n} qubits, limit is {DEFAULT_MAX_QUBITS}")
     state = initial_state(n)
-    start = _write_product_prefix(state, circuit.gates)
-    fuse = n <= _FUSE_MAX_QUBITS
+    start = _write_product_prefix(state, islice(circuit.gates, stop))
+    return evolve(state, islice(circuit.gates, start, stop), n)
+
+
+def evolve(state: np.ndarray, gates, num_qubits: int) -> np.ndarray:
+    """The state after `gates`, applied in order to `state`, which is
+    changed in place or dropped: each permutation run of a register of at
+    most `_FUSE_MAX_QUBITS` as one gather, and every other gate by
+    `apply_gate`."""
+    fuse = num_qubits <= _FUSE_MAX_QUBITS
     for permutes, run in groupby(
-            islice(circuit.gates, start, None),
-            lambda gate: fuse and gate.kind in _PERMUTATION_KINDS):
+            gates, lambda gate: fuse and gate.kind in _PERMUTATION_KINDS):
         # Only a permutation run is copied. A tuple of a long run of other
         # gates is a heap block between state-sized arrays: on 12-18 qubit
         # jobs it kept about 1 MB more of the heap resident at the peak.
         if permutes:
             run = tuple(run)
             if len(run) > 1:
-                state = state.take(_permutation(run, n))
+                state = state.take(_permutation(run, num_qubits))
                 continue
         for gate in run:
-            apply_gate(state, gate, n)
+            apply_gate(state, gate, num_qubits)
     return state
 
 
-def _write_product_prefix(state: np.ndarray, gates: list[Gate]) -> int:
+def _write_product_prefix(state: np.ndarray, gates) -> int:
     """Write the product state of the leading gates into |0...0> in place,
     and return how many gates that took.
 
@@ -159,19 +172,19 @@ def _write_product_prefix(state: np.ndarray, gates: list[Gate]) -> int:
     `state[h:2h]` becomes `state[:h] * b` and the lower half is scaled by
     a. No product of gate entries is computed in Python.
     """
-    top = -1
-    for taken, gate in enumerate(gates):
+    top, taken = -1, 0
+    for gate in gates:
         q = gate.targets[0]
         if len(gate.targets) > 1 or q <= top:
-            return taken
+            break
         rows = gate_rows(gate.kind, gate.param)
         a, b, h = rows[0][0], rows[1][0], 1 << q
         if b:
             np.multiply(state[:h], b, out=state[h:2 * h])
         if a != 1:
             state[:h] *= a
-        top = q
-    return len(gates)
+        top, taken = q, taken + 1
+    return taken
 
 
 @functools.lru_cache(maxsize=16)

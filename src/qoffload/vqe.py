@@ -422,6 +422,11 @@ def optimize(hamiltonian: Hamiltonian, spec: AnsatzSpec, config: VqeConfig,
         raise VqeError("initial theta must be finite")
     if config.max_iterations < 0:
         raise VqeError("max_iterations must be >= 0")
+    # `Job`'s rule, but from 0, which selects exact mode.
+    if type(config.shots) is not int:
+        raise VqeError("shots must be an integer")
+    if config.shots < 0:
+        raise VqeError("shots must be >= 0")
     if math.isnan(config.tolerance):
         raise VqeError("tolerance must not be NaN")
     seeds = _seed_stream(config.seed)

@@ -293,3 +293,73 @@ class TestMutationFuzz:
                 parse_qasm(GOLDEN_BELL[:i])
             except QasmError:
                 pass
+
+
+def _error_of(text, memo=None):
+    with pytest.raises(QasmError) as exc:
+        parse_qasm(text, memo)
+    return type(exc.value), str(exc.value), exc.value.line, exc.value.col
+
+
+def _program(qreg, size, *lines):
+    """A program on `qreg[size]` whose gate statements are `lines`."""
+    return (f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg {qreg}[{size}];\n'
+            f"creg c[{size}];\n" + "".join(f"{line}\n" for line in lines)
+            + f"measure {qreg} -> c;\n")
+
+
+class TestStatementMemo:
+    """`parse_qasm(text, memo)` parses each gate statement that texts share
+    once, and parses what it cannot reuse as without a memo."""
+
+    def test_shared_statements_parse_once_to_equal_circuits(self):
+        rng = random.Random(77)
+        body = random_circuit(rng, 4, 12, measured=False)
+        texts = []
+        for _ in range(6):
+            circuit = body.copy()
+            for gate in random_circuit(rng, 4, 3, measured=False).gates:
+                circuit.apply(gate)
+            texts.append(emit_qasm(circuit.measure()))
+        memo = {}
+        parsed = [parse_qasm(text, memo) for text in texts]
+        assert parsed == [parse_qasm(text) for text in texts]
+        # One entry per distinct gate line, and one `Gate` object for each.
+        lines = {line for text in texts for line in text.splitlines()
+                 if not line.startswith(("OPENQASM", "include", "qreg",
+                                         "creg", "measure"))}
+        assert len(memo) == len(lines)
+        for circuit in parsed[1:]:
+            assert all(a is b
+                       for a, b in zip(circuit.gates, parsed[0].gates[:12]))
+
+    @pytest.mark.parametrize("bad", [
+        "h q[4];",
+        "cx q[1],q[1];",
+        "ry(1/0) q[0];",
+        "h r[0];",
+        "ry(0.5)q[0]x;",
+        "u q[0];",
+    ], ids=["index", "same-targets", "division", "register", "malformed",
+            "unsupported"])
+    def test_error_after_a_filled_memo_is_the_error_alone(self, bad):
+        shared = ("h q[0];", "ry(0.5) q[1];", "cx q[0],q[1];")
+        memo = {}
+        parse_qasm(_program("q", 4, *shared), memo)
+        parse_qasm(_program("q", 4, *reversed(shared)), memo)
+        filled = dict(memo)
+        text = _program("q", 4, *shared, bad, "x q[2];")
+        assert _error_of(text, memo) == _error_of(text)
+        assert memo == filled  # only statements that parsed are stored
+
+    @pytest.mark.parametrize("qreg, size, message", [
+        ("q", 2, "qubit index 3 out of range for q[2] at line 5, column 5"),
+        ("r", 4, "unknown register 'q' at line 5, column 3"),
+    ], ids=["another-size", "another-name"])
+    def test_statement_of_another_register_is_not_reused(self, qreg, size,
+                                                         message):
+        memo = {}
+        parse_qasm(_program("q", 4, "h q[3];"), memo)
+        text = _program(qreg, size, "h q[3];")
+        assert _error_of(text, memo) == _error_of(text)
+        assert _error_of(text, memo)[1] == message

@@ -12,7 +12,7 @@ import weakref
 
 import pytest
 
-from qoffload import runtime, sim
+from qoffload import qasm, runtime, sim, vqe
 from qoffload.circuit import bell_circuit, create_circuit
 from qoffload.qasm import QASM_HEADER, emit_qasm
 from qoffload.resman import ResmanClient, ServerError, client_submit, serve
@@ -759,6 +759,85 @@ def _corrupting_server(corrupt):
     srv._replies = corrupt_first
     srv._frame = _raw_frame
     return srv
+
+
+class TestSharedWork:
+    """The jobs of one request parse each distinct gate statement once, and
+    the device runs the gate prefix that its jobs share once."""
+
+    def test_vqe_request_simulates_its_body_once(self, monkeypatch):
+        spec = vqe.AnsatzSpec(4, 2)
+        body = vqe.build_ansatz_body(spec, [0.1 * k for k in range(8)])
+        jobs = [(vqe.basis_change(body, ops), 1024, seed) for seed, ops
+                in enumerate(("ZZZZ", "XIII", "IYIZ", "XXYY", "IIIX"))]
+        entries = [(emit_qasm(circuit), shots, seed)
+                   for circuit, shots, seed in jobs]
+        matched, runs = [], []
+        pattern, run_statevector = qasm._GATE, sim.run_statevector
+
+        class CountedPattern:
+            def match(self, src, pos):
+                m = pattern.match(src, pos)
+                matched.append(m[0])
+                return m
+
+        def recorded(circuit, stop=None):
+            runs.append((circuit.num_qubits, stop))
+            return run_statevector(circuit, stop)
+
+        monkeypatch.setattr(qasm, "_GATE", CountedPattern())
+        monkeypatch.setattr(sim, "run_statevector", recorded)
+        srv, _counts, entered, release = _held_server()
+        outcomes = []
+        try:
+            with ResmanClient(srv.address) as first, \
+                    ResmanClient(srv.address) as client:
+                # A held job keeps the worker busy until the request's five
+                # jobs are queued, so that it takes them as one batch.
+                protocol.send_message(first._sock,
+                                      _batch_of_one(bell_circuit(), 10, 0))
+                assert entered.wait(timeout=30)
+                del matched[:]
+                batch = threading.Thread(target=lambda: outcomes.extend(
+                    client.run_batch(entries)))
+                batch.start()
+                deadline = time.monotonic() + 30
+                while (srv._worker.jobs.qsize() < len(jobs)
+                       and time.monotonic() < deadline):
+                    time.sleep(0.001)
+                release.set()
+                batch.join(timeout=30)
+                assert first._receive()["kind"] == "Result"
+        finally:
+            release.set()
+            srv.shutdown()
+        lines = [line for text, _, _ in entries
+                 for line in text.splitlines()[4:-1]]
+        assert len(lines) == 5 * 16 + 10
+        assert sorted(matched) == sorted(set(lines))
+        # The held job, then the 16-gate ansatz body once for all five.
+        assert runs == [(2, None), (4, 16)]
+        monkeypatch.undo()
+        assert outcomes == [sim.run_and_sample(*job) for job in jobs]
+
+    @pytest.mark.parametrize("bad", [
+        "cx q[1],q[1];", "h q[4];", "ry(1/0) q[0];"],
+        ids=["same-targets", "index", "division"])
+    def test_parse_error_after_shared_entries_is_the_error_alone(self, server,
+                                                                 bad):
+        body = emit_qasm(vqe.basis_change(vqe.build_ansatz_body(
+            vqe.AnsatzSpec(4, 1), [0.2, 0.4, 0.6, 0.8]), "XXXX"))
+        head, tail = body.rsplit("measure", 1)
+        faulty = head + bad + "\nmeasure" + tail
+        with ResmanClient(server.address) as client:
+            alone = client.request(protocol.submit_batch([(faulty, 10, 0)]))
+            replies = [client.request(protocol.submit_batch(
+                [(body, 10, 1), (body, 10, 2), (faulty, 10, 3)]))]
+            replies += [client._receive() for _ in range(2)]
+        assert [r["kind"] for r in replies] == ["Result", "Result", "Error"]
+        assert alone["code"] == "PARSE"
+        assert "at line 17, column" in alone["message"]
+        assert replies[2] == alone
 
 
 class TestResultForm:

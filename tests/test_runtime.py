@@ -4,9 +4,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qoffload import sim
-from qoffload.circuit import bell_circuit, create_circuit
+from qoffload.circuit import (Circuit, Gate, GateKind, bell_circuit,
+                              create_circuit)
 from qoffload.resman import serve
 from qoffload.runtime import (
     CapacityExceededError,
@@ -14,6 +16,7 @@ from qoffload.runtime import (
     DeviceKind,
     DeviceRegistry,
     DuplicateDeviceError,
+    Job,
     JobFailedError,
     LocalSimulatorBackend,
     UnknownDeviceError,
@@ -48,6 +51,12 @@ class TestRegistry:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             Device("bad", DeviceKind.LOCAL_SIMULATOR, capacity=0)
+
+    @pytest.mark.parametrize("capacity", [True, 4.0, np.int64(4)],
+                             ids=["bool", "float", "numpy-int"])
+    def test_capacity_must_be_a_python_int(self, capacity):
+        with pytest.raises(ValueError, match="^capacity must be an integer$"):
+            Device("bad", DeviceKind.LOCAL_SIMULATOR, capacity=capacity)
 
     def test_capacity_must_fit_the_largest_register(self):
         # No register above 24 qubits can be built or parsed.
@@ -388,3 +397,135 @@ class TestBatches:
         finally:
             backend.release.set()
             registry.shutdown()
+
+
+def _body(rng, n):
+    """Gates for circuits to share: RY on ascending qubits, which the
+    simulator folds into a product state, then random gates, drawn from
+    every kind or mostly from the permutations it gathers."""
+    circuit = create_circuit(n)
+    for q in range(rng.randint(0, n)):
+        circuit.ry(q, rng.uniform(-3, 3))
+    kinds = rng.choice([tuple(GateKind), (GateKind.X, GateKind.CX,
+                                          GateKind.SWAP, GateKind.H)])
+    for gate in random_circuit(rng, n, rng.randint(0, 10), measured=False,
+                               kinds=kinds).gates:
+        circuit.apply(gate)
+    return circuit.gates
+
+
+@st.composite
+def shared_batches(draw):
+    """(jobs, index of the marked job or None, "fail" or "hold"). Most jobs
+    are on n qubits: a job-specific first gate, a random-length prefix of
+    one body and 0-4 gates of their own. The others are random circuits on
+    other register sizes. The pass drops each first gate, so the jobs share
+    no gate before it and the body's prefixes after it."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 6))
+    body = _body(rng, n)
+    jobs = []
+    for _ in range(draw(st.integers(2, 7))):
+        if draw(st.integers(0, 3)):
+            size = n
+            cut = draw(st.sampled_from([len(body), rng.randint(0, len(body))]))
+            gates = body[:cut] + random_circuit(
+                rng, n, rng.randint(0, 4), measured=False).gates
+        else:
+            size = rng.choice([m for m in range(1, 8) if m != n])
+            gates = random_circuit(rng, size, rng.randint(0, 8),
+                                   measured=False).gates
+        first = random_circuit(rng, size, 1, measured=False).gates
+        jobs.append(Job(Circuit(size, first + gates, True),
+                        rng.randint(1, 300), rng.randrange(2 ** 64),
+                        submitted_at=0.0))
+    marked = (draw(st.integers(1, len(jobs) - 2)) if len(jobs) > 2
+              and draw(st.booleans()) else None)
+    return jobs, marked, draw(st.sampled_from(["fail", "hold"]))
+
+
+def _passed(circuit):
+    return Circuit(circuit.num_qubits, circuit.gates[1:], True)
+
+
+class _DropFirstGate(LocalSimulatorBackend):
+    """Its pass drops each circuit's first gate. The pass fails on the
+    circuit `failing`, and waits on `release` for the circuit `held`, once
+    it has set `entered`."""
+
+    def __init__(self, failing=None, held=None):
+        self.failing, self.held = failing, held
+        self.entered, self.release = threading.Event(), threading.Event()
+
+    def prepare(self, circuit):
+        if circuit is self.failing:
+            raise ValueError("pass rejected the circuit")
+        if circuit is self.held:
+            self.entered.set()
+            assert self.release.wait(timeout=30)
+        return _passed(circuit)
+
+
+class TestSharedPrefixBatches:
+    """`LocalSimulatorBackend.run_batch` runs the gate prefix that
+    consecutive jobs of one register size share once; a job's outcome is
+    still `sim.run_and_sample` of its prepared circuit, seed for seed."""
+
+    @given(shared_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_outcomes_equal_run_and_sample(self, batch):
+        jobs, marked, how = batch
+        circuit = None if marked is None else jobs[marked].circuit
+        backend = (_DropFirstGate(failing=circuit) if how == "fail"
+                   else _DropFirstGate(held=circuit))
+        outcomes = []
+        runner = threading.Thread(
+            target=lambda: outcomes.extend(backend.run_batch(jobs)))
+        runner.start()
+        if circuit is not None and how == "hold":
+            assert backend.entered.wait(timeout=30)
+            # Every job is prepared before the first one runs.
+            assert outcomes == []
+            backend.release.set()
+        runner.join(timeout=60)
+        assert len(outcomes) == len(jobs)
+        for i, (job, outcome) in enumerate(zip(jobs, outcomes)):
+            if i == marked and how == "fail":
+                assert isinstance(outcome, ValueError)
+            else:
+                assert outcome == sim.run_and_sample(_passed(job.circuit),
+                                                     job.shots, job.seed)
+
+    def test_each_shared_prefix_runs_once(self, monkeypatch):
+        # After the pass, two 3-qubit jobs share 12 gates, a 2-qubit job
+        # shares nothing, and two more 3-qubit jobs share 8 gates.
+        rng = random.Random(5)
+        body = create_circuit(3)
+        for i in range(12):
+            if i % 4 == 3:
+                body.cx(i % 3, (i + 1) % 3)
+            else:
+                body.ry(i % 3, rng.uniform(-3, 3))
+        body = body.gates
+        tails = [[Gate(kind, (q,))] for kind, q in
+                 ((GateKind.H, 0), (GateKind.X, 1), (GateKind.Y, 2),
+                  (GateKind.Z, 0))]
+        circuits = [(3, body + tails[0]), (3, body + tails[1]),
+                    (2, random_circuit(rng, 2, 6, measured=False).gates),
+                    (3, body[:8] + tails[2]), (3, body + tails[3])]
+        jobs = [Job(Circuit(n, [Gate(GateKind.T, (0,))] + gates, True),
+                    100, seed, submitted_at=0.0)
+                for seed, (n, gates) in enumerate(circuits)]
+        runs = []
+        run_statevector = sim.run_statevector
+
+        def recorded(circuit, stop=None):
+            runs.append((circuit.num_qubits, stop))
+            return run_statevector(circuit, stop)
+
+        monkeypatch.setattr(sim, "run_statevector", recorded)
+        outcomes = list(_DropFirstGate().run_batch(jobs))
+        assert runs == [(3, 12), (2, None), (3, 8)]
+        monkeypatch.undo()
+        assert outcomes == [sim.run_and_sample(_passed(job.circuit), job.shots,
+                                               job.seed) for job in jobs]

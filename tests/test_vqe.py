@@ -753,6 +753,23 @@ class TestOptimize:
             optimize(H2MIN, AnsatzSpec(2, 1), config)
         assert evaluations == []
 
+    @pytest.mark.parametrize("shots, message", [
+        (np.int64(16), "shots must be an integer"),
+        (True, "shots must be an integer"),
+        (-1, "shots must be >= 0"),
+    ], ids=["numpy-int", "bool", "negative"])
+    def test_shots_the_job_rules_refuse_are_an_input_fault(
+            self, monkeypatch, registry, shots, message):
+        evaluations = []
+        monkeypatch.setattr(vqe, "estimate_expectation",
+                            lambda *args: evaluations.append(args))
+        config = VqeConfig(initial_theta=[0.1, 0.2], shots=shots,
+                           device_name="sim0")
+        with pytest.raises(VqeError, match=f"^{message}$") as exc:
+            optimize(H2MIN, AnsatzSpec(2, 1), config, registry)
+        assert not isinstance(exc.value, VqeAbortedError)
+        assert evaluations == []
+
     @pytest.mark.parametrize("shots", [0, 64])
     def test_each_evaluation_calls_the_module_global(self, monkeypatch,
                                                      registry, shots):
